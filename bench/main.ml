@@ -155,17 +155,9 @@ let fig1 () =
   heading "E1 / Figure 1 — response time vs #clients (paper's benchmark)";
   let table, series = Experiment.figure1 () in
   print_table table;
-  (* E19 rider: the conflict-graph grid on the low-conflict workload.  The
-     1024-client column needs the serial pMAT baseline at 1024 resident
-     candidates — its per-grant rescans make that a multi-hour run — so,
-     like E18's macro grid, the full client range only runs with
-     DETMT_PARALLEL_GRID=1; the CI smoke asserts the 64/256 rows. *)
-  let parallel_rows =
-    let grid = Sys.getenv_opt "DETMT_PARALLEL_GRID" = Some "1" in
-    Experiment.parallel_pool
-      ~clients_list:(if grid then [ 64; 256; 1024 ] else [ 64; 256 ])
-      ()
-  in
+  (* E19 rider: the conflict-graph grid on the low-conflict workload, at
+     64, 256 and 1024 clients. *)
+  let parallel_rows = Experiment.parallel_pool () in
   print_table (Experiment.parallel_table parallel_rows);
   (* E20 rider: the workspace grids.  E20a (misprediction safety net) rides
      inside the [parallel] JSON section as [opaque]; E20b (early-release

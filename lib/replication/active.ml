@@ -54,6 +54,8 @@ type t = {
   mutable dedups : Dedup.t array;
   summary : Detmt_analysis.Predict.class_summary option;
   scheduler : Detmt_sched.Registry.spec;
+  instantiate :
+    Detmt_sched.Sched_config.t -> Sched_iface.actions -> Sched_iface.sched;
   (* client-side bookkeeping *)
   reply_waiters : (int * int, float * (response_ms:float -> unit)) Hashtbl.t;
       (* (client, client_req) -> (sent_at, callback) *)
@@ -213,7 +215,7 @@ let make_replica t ~engine ~cls ~id =
       is_leader = (fun () -> is_leader t id) }
   in
   let make_sched actions =
-    Detmt_sched.Registry.instantiate
+    t.instantiate
       (Detmt_sched.Sched_config.make ~runtime:t.params.config
          ?summary:t.summary ~obs:t.obs ~shard:t.params.shard
          ~workers:t.params.workers t.scheduler.name)
@@ -266,7 +268,9 @@ let deliver t replica (msg : payload Message.t) =
     t.barrier_fp.(s) <-
       mix (mix (mix t.barrier_fp.(s) msg.seq) epoch) (Hashtbl.hash label)
 
-let create ?(obs = Recorder.disabled) ~engine ~cls ~(params : params) () =
+let create ?(obs = Recorder.disabled)
+    ?(instantiate = Detmt_sched.Registry.instantiate) ~engine ~cls
+    ~(params : params) () =
   (* Continuous telemetry: window metrics by the virtual clock, snapshot
      the event-queue depth once per window, and (with a profiler attached)
      time the engine's pop/dispatch phases.  All observation-only. *)
@@ -300,7 +304,7 @@ let create ?(obs = Recorder.disabled) ~engine ~cls ~(params : params) () =
   in
   let t =
     { engine; params; obs; bus; grp; cls_instr = cls'; members = []; summary;
-      scheduler;
+      scheduler; instantiate;
       dedups = Array.init params.replicas (fun _ -> Dedup.create ());
       reply_waiters = Hashtbl.create 256; answered = Hashtbl.create 256;
       response_times = Detmt_stats.Summary.create (); replies = 0;

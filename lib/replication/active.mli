@@ -55,6 +55,10 @@ type checkpoint_sink =
 
 val create :
   ?obs:Detmt_obs.Recorder.t ->
+  ?instantiate:
+    (Detmt_sched.Sched_config.t ->
+    Detmt_runtime.Sched_iface.actions ->
+    Detmt_runtime.Sched_iface.sched) ->
   engine:Detmt_sim.Engine.t ->
   cls:Detmt_lang.Class_def.t ->
   params:params ->
@@ -63,7 +67,11 @@ val create :
 (** [cls] is the {e source} class: the constructor applies the transformation
     the chosen scheduler needs (basic or predictive).  [obs] (default
     {!Detmt_obs.Recorder.disabled}) is threaded through the bus, every
-    replica and every scheduler; recording is strictly read-only. *)
+    replica and every scheduler; recording is strictly read-only.
+    [instantiate] (default {!Detmt_sched.Registry.instantiate}) builds each
+    replica's scheduler from its config; differential tests substitute a
+    reference decision module under the registered name of
+    [params.scheduler], which still selects the transformation. *)
 
 val submit :
   ?on_ordered:(seq:int -> unit) ->

@@ -14,8 +14,12 @@ let owner t ~mutex =
 let hold_count t ~mutex =
   match entry t mutex with Some e -> e.count | None -> 0
 
+(* Allocation-free: schedulers probe this once per queued request per
+   decision pass. *)
 let is_free_for t ~mutex ~tid =
-  match owner t ~mutex with None -> true | Some o -> o = tid
+  match Hashtbl.find t mutex with
+  | e -> e.count = 0 || e.owner = tid
+  | exception Not_found -> true
 
 let acquire t ~mutex ~tid =
   match entry t mutex with

@@ -40,7 +40,7 @@
       mutexes while it runs), so the intra-request order is program order.
 
    The {!Predicted} variant (pcgs) additionally shrinks a running request's
-   in-flight blockset to [held ∪ future_mutexes] once the bookkeeping
+   in-flight blockset to [held ∪ future] once the bookkeeping
    module proves the prediction exact — early release, Figure 2 style — so
    successors can start before the predecessor terminates.  Threads whose
    method may touch condition variables keep the static class (the pPDS
@@ -216,16 +216,15 @@ let blockset t n =
       (match n.cls with
       | Top -> Top
       | Mutexes s ->
-        if
-          t.early
-          && (not (Substrate.uses_condvars t.sub ~tid:n.tid))
-          && Substrate.predicted t.sub ~tid:n.tid
-        then
-          match Substrate.future_mutexes t.sub ~tid:n.tid with
-          | Some fut ->
-            Mutexes (Iset.union n.held (Iset.of_list fut)) (* early release *)
-          | None -> Mutexes (Iset.union s n.held)
-        else Mutexes (Iset.union s n.held))
+        let static () = Mutexes (Iset.union s n.held) in
+        if t.early && not (Substrate.uses_condvars t.sub ~tid:n.tid) then
+          let exact = ref n.held in
+          if
+            Substrate.iter_future t.sub ~tid:n.tid ~f:(fun m ->
+                exact := Iset.add m !exact)
+          then Mutexes !exact (* early release: held ∪ future *)
+          else static ()
+        else static ())
   | Parked m ->
     (* The condvar hole: stop blocking the parked monitor so the future
        notifier can dispatch; keep blocking the rest of the class. *)
@@ -244,10 +243,22 @@ let blockset t n =
        scan's [spec_seen] rule is what holds younger direct starts back. *)
     None
 
+(* Blocksets compare by content: equal sets built along different paths
+   differ in tree shape, which polymorphic equality would report as a
+   change.  ([Iset.equal] would allocate an enumeration per call.) *)
+let same_blockset a b =
+  match (a, b) with
+  | None, None | Some Top, Some Top -> true
+  | Some (Mutexes x), Some (Mutexes y) ->
+    x == y
+    || Iset.cardinal x = Iset.cardinal y
+       && Iset.for_all (fun m -> Iset.mem m y) x
+  | _ -> false
+
 (* Recompute and re-register a node's blockset; [true] when it changed. *)
 let refresh t n =
   let next = blockset t n in
-  if next = n.contrib then false
+  if same_blockset next n.contrib then false
   else begin
     Option.iter (remove_contrib t) n.contrib;
     Option.iter (add_contrib t) next;

@@ -217,11 +217,15 @@ let predicted_tab tab =
 let predicted t ~tid =
   match tracked t tid with None -> false | Some tab -> predicted_tab tab
 
-let future_mutexes t ~tid =
-  match tracked t tid with
-  | None -> None
-  | Some tab ->
-    if predicted_tab tab then Some (Iset.elements tab.future) else None
+(* Allocation-free (no option on the lookup, [f] is the caller's): pMAT
+   calls it for every queue predecessor on every decision pass. *)
+let iter_future t ~tid ~f =
+  match Hashtbl.find t.threads tid with
+  | Tracked tab when predicted_tab tab ->
+    Iset.iter f tab.future;
+    true
+  | Tracked _ | Pessimistic -> false
+  | exception Not_found -> false
 
 let future_may_lock t ~tid ~mutex =
   match tracked t tid with

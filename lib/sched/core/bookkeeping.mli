@@ -54,10 +54,12 @@ val no_future_locks : t -> tid:int -> bool
     requested and released all of its locks and will never request one
     again" (the MAT weakness fixed in Figure 2). *)
 
-val future_mutexes : t -> tid:int -> int list option
-(** The exact future lock set (ascending, duplicate-free), or [None] when
-    not predicted.  Maintained incrementally: O(n) only in the size of the
-    set itself, never in the number of table entries. *)
+val iter_future : t -> tid:int -> f:(int -> unit) -> bool
+(** When the thread is predicted, apply [f] to each mutex of its exact
+    future lock set (ascending, duplicate-free) and return [true]; otherwise
+    return [false] without calling [f].  Allocates nothing itself, and costs
+    O(n) only in the size of the set, never in the number of table
+    entries. *)
 
 val uses_condvars : t -> tid:int -> bool
 (** Whether the thread's start method may execute a condition-variable

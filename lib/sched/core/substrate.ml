@@ -124,7 +124,9 @@ let iter t ~f = Candidate_index.iter t.order ~f:(fun _ th -> f th)
 let fold t ~init ~f =
   Candidate_index.fold t.order ~init ~f:(fun _ th acc -> f acc th)
 
-let threads t = List.map snd (Candidate_index.to_list t.order)
+let tids t ~f =
+  List.rev
+    (fold t ~init:[] ~f:(fun acc th -> if f th then th.tid :: acc else acc))
 
 (* --------------------------- prediction plumbing ----------------------- *)
 
@@ -146,10 +148,10 @@ let no_future_locks t ~tid =
   | None -> false
   | Some bk -> Bookkeeping.no_future_locks bk ~tid
 
-let future_mutexes t ~tid =
+let iter_future t ~tid ~f =
   match t.bookkeeping with
-  | None -> None
-  | Some bk -> Bookkeeping.future_mutexes bk ~tid
+  | None -> false
+  | Some bk -> Bookkeeping.iter_future bk ~tid ~f
 
 let uses_condvars t ~tid =
   match t.bookkeeping with

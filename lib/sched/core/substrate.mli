@@ -77,8 +77,9 @@ val iter : t -> f:(thread -> unit) -> unit
 
 val fold : t -> init:'a -> f:('a -> thread -> 'a) -> 'a
 
-val threads : t -> thread list
-(** Ascending admission order. *)
+val tids : t -> f:(thread -> bool) -> int list
+(** Tids of the live threads satisfying [f], ascending admission order —
+    the candidate lists of audit records. *)
 
 (** {1 Prediction queries} — pessimistic without a bookkeeping module *)
 
@@ -88,7 +89,8 @@ val future_may_lock : t -> tid:int -> mutex:int -> bool
 
 val no_future_locks : t -> tid:int -> bool
 
-val future_mutexes : t -> tid:int -> int list option
+val iter_future : t -> tid:int -> f:(int -> unit) -> bool
+(** {!Bookkeeping.iter_future}; [false] without a bookkeeping module. *)
 
 val uses_condvars : t -> tid:int -> bool
 

@@ -91,11 +91,8 @@ and promote t =
             (if th.ex_primary then Audit.Promote_ex_primary
              else Audit.Promote_oldest)
           ~candidates:
-            (List.filter_map
-               (fun (o : Substrate.thread) ->
-                 if o.tid <> th.tid && not o.suspended then Some o.tid
-                 else None)
-               (Substrate.threads t.sub))
+            (Substrate.tids t.sub ~f:(fun o ->
+                 o.tid <> th.tid && not o.suspended))
           ()
       end;
       th.is_primary <- true;

@@ -174,12 +174,16 @@ let grant_eligible t =
 
 (* --------------------------- pPDS independence ------------------------- *)
 
-(* The closure an independent may still touch: its requested mutex plus its
-   exactly-known future lock set.  Only meaningful for predicted threads. *)
-let closure t ~tid ~mutex =
-  match Substrate.future_mutexes t.sub ~tid with
-  | Some fs -> mutex :: fs
-  | None -> [ mutex ]
+(* Does [p] hold on the closure an independent may still touch: its
+   requested mutex plus its exactly-known future lock set?  Only meaningful
+   for predicted threads. *)
+let closure_for_all t ~tid ~mutex p =
+  p mutex
+  &&
+  let ok = ref true in
+  ignore
+    (Substrate.iter_future t.sub ~tid ~f:(fun m -> if !ok then ok := p m));
+  !ok
 
 (* Decision-point test: may [tid] leave the round discipline?  Every input
    is deterministic here — members are stopped, no independent is alive (its
@@ -191,26 +195,22 @@ let independence_eligible t ~requests:_ (tid, mutex) =
   && (not (Substrate.uses_condvars t.sub ~tid))
   &&
   let actions = Substrate.actions t.sub in
-  let c = closure t ~tid ~mutex in
   actions.mutex_free_for ~tid ~mutex
   (* Nothing in the closure may be held (a suspended holder could only
      release after a future round — which cannot happen while the
      independent lives — a guaranteed deadlock). *)
-  && List.for_all
-       (fun m ->
+  && closure_for_all t ~tid ~mutex (fun m ->
          match actions.mutex_owner m with
          | None -> true
          | Some owner -> owner = tid)
-       c
   (* No other live member may ever touch the closure.  Unpredicted members
      answer [future_may_lock] with true and veto the launch; this also
      rejects overlapping independence candidates symmetrically. *)
   && List.for_all
        (fun u ->
          u = tid
-         || List.for_all
-              (fun m -> not (Substrate.future_may_lock t.sub ~tid:u ~mutex:m))
-              c)
+         || closure_for_all t ~tid ~mutex (fun m ->
+                not (Substrate.future_may_lock t.sub ~tid:u ~mutex:m)))
        t.slots
 
 let launch_independent t (tid, mutex) =

@@ -13,7 +13,10 @@
 
    Pending requests are re-examined exactly at the paper's wake-up events:
    a conflicting mutex is released, a thread is removed from the list, or a
-   preceding thread becomes predicted (lockInfo / ignore / loopExit).
+   preceding thread becomes predicted (lockInfo / ignore / loopExit).  One
+   re-examination is a single ordered pass over the queue that carries the
+   union of the predecessors' future sets forward and stops after the first
+   unpredicted thread (DESIGN.md, "pMAT's grant pass").
 
    The paper leaves open "how the algorithm should proceed when a thread
    calls wait or does a nested invocation".  Our resolution (see DESIGN.md):
@@ -28,24 +31,78 @@
 open Detmt_runtime
 module Audit = Detmt_obs.Audit
 
-type t = { sub : Substrate.t }
+(* Generation-stamped mutex marks: a mutex is marked when its stamp equals
+   the current generation, so clearing the set for a fresh pass is one
+   increment.  Dense ids index an array grown on demand; ids beyond
+   [dense_limit] (object monitors sit at 1_000_000) keep their stamps in a
+   side table.  After warm-up, marking and probing allocate nothing. *)
+module Marks = struct
+  type t = {
+    mutable gen : int;
+    mutable dense : int array;
+    sparse : (int, int) Hashtbl.t;
+  }
 
-let predicted t tid = Substrate.predicted t.sub ~tid
+  let dense_limit = 1 lsl 16
 
-let may_conflict t tid ~mutex = Substrate.future_may_lock t.sub ~tid ~mutex
+  let create () =
+    { gen = 1; dense = Array.make 64 0; sparse = Hashtbl.create 8 }
 
-(* Is the pending request of [th] grantable given all queue predecessors? *)
-let eligible t ~preceding (th : Substrate.thread) =
+  let clear t = t.gen <- t.gen + 1
+
+  let add t m =
+    if m >= 0 && m < dense_limit then begin
+      let n = Array.length t.dense in
+      if m >= n then begin
+        let grown = Array.make (min dense_limit (max (m + 1) (2 * n))) 0 in
+        Array.blit t.dense 0 grown 0 n;
+        t.dense <- grown
+      end;
+      t.dense.(m) <- t.gen
+    end
+    else Hashtbl.replace t.sparse m t.gen
+
+  let mem t m =
+    if m >= 0 && m < dense_limit then
+      m < Array.length t.dense && t.dense.(m) = t.gen
+    else
+      match Hashtbl.find t.sparse m with
+      | g -> g = t.gen
+      | exception Not_found -> false
+end
+
+type t = {
+  sub : Substrate.t;
+  marks : Marks.t; (* future lock sets of the predecessors passed so far *)
+  mark : int -> unit; (* [Marks.add marks], allocated once per policy *)
+}
+
+(* Is the pending request of [th] grantable given the predecessors whose
+   future sets are marked? *)
+let grantable t (th : Substrate.thread) =
   match th.pending with
   | None | Some Substrate.Resume -> false
   | Some (Substrate.Lock mutex | Substrate.Reacquire mutex) ->
     (Substrate.actions t.sub).mutex_free_for ~tid:th.tid ~mutex
-    && List.for_all
-         (fun (u : Substrate.thread) ->
-           predicted t u.tid && not (may_conflict t u.tid ~mutex))
-         preceding
+    && not (Marks.mem t.marks mutex)
 
-let grant t ~preceding (th : Substrate.thread) =
+(* One step of the pass; [true] stops it.  A thread is checked before its
+   own future set is marked (only its predecessors gate it), so the first
+   unpredicted thread is still a candidate itself — but its unknown future
+   conflicts with every mutex, so nothing behind it can be granted. *)
+let visit t th =
+  grantable t th || not (Substrate.iter_future t.sub ~tid:th.tid ~f:t.mark)
+
+(* One ordered pass over the queue: the oldest grantable thread, if any.
+   The pass mutates nothing but the marks, so a stop at an unpredicted
+   thread is told apart from a grant by re-checking the stopping thread. *)
+let find_grant t =
+  Marks.clear t.marks;
+  match Substrate.first t.sub ~f:(visit t) with
+  | Some th when grantable t th -> Some th
+  | Some _ | None -> None
+
+let grant t (th : Substrate.thread) =
   (if Substrate.observing t.sub then
      let action, mutex =
        match th.pending with
@@ -56,24 +113,21 @@ let grant t ~preceding (th : Substrate.thread) =
      Substrate.incr t.sub "grants";
      Substrate.audit t.sub ~tid:th.tid ~action ~mutex
        ~rule:Audit.Predicted_no_conflict
-       ~candidates:(List.map (fun (u : Substrate.thread) -> u.tid) preceding)
+       ~candidates:(Substrate.tids t.sub ~f:(fun u -> u.seq < th.seq))
        ());
   Substrate.perform t.sub th
 
-(* Scan the queue in order and grant every request that has become
-   grantable; granting can cascade (the resumed thread may unlock, announce,
-   terminate, ...), so restart until a fixpoint. *)
+(* Grant the oldest grantable request until none is left.  Granting can
+   cascade (the resumed thread may unlock, announce, terminate, ...) and
+   re-enter [rescan] from inside [Substrate.perform], so every grant
+   happens after its pass has ended and the next pass restarts from the
+   head of the queue. *)
 let rec rescan t =
-  let rec scan preceding = function
-    | [] -> false
-    | th :: rest ->
-      if eligible t ~preceding th then begin
-        grant t ~preceding th;
-        true
-      end
-      else scan (preceding @ [ th ]) rest
-  in
-  if scan [] (Substrate.threads t.sub) then rescan t
+  match find_grant t with
+  | Some th ->
+    grant t th;
+    rescan t
+  | None -> ()
 
 let on_request t tid =
   ignore (Substrate.admit t.sub ~tid);
@@ -96,11 +150,8 @@ let on_lock t tid ~syncid:_ ~mutex =
              Audit.Mutex_held
            else Audit.Predecessor_unpredicted)
         ~candidates:
-          (List.filter_map
-             (fun (u : Substrate.thread) ->
-               if u.tid <> tid && not (predicted t u.tid) then Some u.tid
-               else None)
-             (Substrate.threads t.sub))
+          (Substrate.tids t.sub ~f:(fun u ->
+               u.tid <> tid && not (Substrate.predicted t.sub ~tid:u.tid)))
         ()
     | _ -> ()
 
@@ -129,7 +180,8 @@ let on_terminate t tid =
   rescan t
 
 let policy sub : Sched_iface.sched =
-  let t = { sub } in
+  let marks = Marks.create () in
+  let t = { sub; marks; mark = Marks.add marks } in
   let base =
     Sched_iface.no_op_sched ~name:(Substrate.name sub)
       ~on_request:(on_request t) ~on_lock:(on_lock t) ~on_wakeup:(on_wakeup t)

@@ -21,6 +21,13 @@ let branchy =
         ];
     ]
 
+(* The future set as a list, [None] when not predicted. *)
+let future bk ~tid =
+  let acc = ref [] in
+  if Bookkeeping.iter_future bk ~tid ~f:(fun m -> acc := m :: !acc) then
+    Some (List.rev !acc)
+  else None
+
 let fresh_bk cls =
   let bk = Bookkeeping.create ~summary:(Some (summary_of cls)) () in
   Bookkeeping.register bk ~tid:1 ~meth:"go";
@@ -50,6 +57,8 @@ let test_prediction_lifecycle () =
   (* then branch taken: sid 3 ignored *)
   Bookkeeping.on_ignore bk ~tid:1 ~syncid:3;
   Alcotest.check b "now predicted" true (Bookkeeping.predicted bk ~tid:1);
+  Alcotest.(check (option (list int))) "future set is the announced mutex"
+    (Some [ 40 ]) (future bk ~tid:1);
   Alcotest.check b "future includes announced mutex" true
     (Bookkeeping.future_may_lock bk ~tid:1 ~mutex:40);
   Alcotest.check b "future excludes others" false
@@ -62,7 +71,7 @@ let test_prediction_lifecycle () =
   Alcotest.check b "no future locks left" true
     (Bookkeeping.no_future_locks bk ~tid:1);
   Alcotest.check b "future set empty" true
-    (Bookkeeping.future_mutexes bk ~tid:1 = Some [])
+    (future bk ~tid:1 = Some [])
 
 let test_spontaneous_path () =
   let bk = fresh_bk branchy in
@@ -121,6 +130,8 @@ let test_changing_loop_blocks_prediction () =
   let bk = fresh_bk loop_changing in
   Alcotest.check b "changing loop ahead: not predicted" false
     (Bookkeeping.predicted bk ~tid:1);
+  Alcotest.(check (option (list int))) "no future set while unpredicted"
+    None (future bk ~tid:1);
   Bookkeeping.on_loop_enter bk ~tid:1 ~loopid:1;
   Bookkeeping.on_acquired bk ~tid:1 ~syncid:1 ~mutex:2;
   Alcotest.check b "inside changing loop: not predicted" false

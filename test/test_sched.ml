@@ -138,6 +138,71 @@ let test_pmat_conflict_order_is_queue_order () =
     Alcotest.(check (list int)) "queue (arrival) order" [ 0; 1 ] locks
   | _ -> Alcotest.fail "one replica expected"
 
+(* Scheduler actions for driving a decision module by hand: every mutex is
+   free, starts are no-ops and lock grants are recorded. *)
+let stub_actions ~granted =
+  { Detmt_runtime.Sched_iface.replica_id = 0;
+    start_thread = ignore;
+    grant_lock = (fun tid -> granted := tid :: !granted);
+    grant_reacquire = ignore;
+    resume_nested = ignore;
+    ws_begin = (fun ~tid:_ ~record_acquisitions:_ -> ());
+    ws_commit = (fun ~tid:_ -> true);
+    mutex_owner = (fun _ -> None);
+    mutex_free_for = (fun ~tid:_ ~mutex:_ -> true);
+    holds_any_mutex = (fun _ -> false);
+    request_method = (fun _ -> "locked");
+    request_arg = (fun ~tid:_ _ -> None);
+    self_mutex = (fun () -> 1_000_000);
+    pool_dispatch = (fun ~worker:_ ~tid:_ -> ());
+    pool_complete = (fun ~worker:_ ~tid:_ -> ());
+    broadcast_control = ignore;
+    inject_dummy = (fun () -> ());
+    schedule = (fun ~delay:_ _ -> ());
+    now = (fun () -> 0.0);
+    is_leader = (fun () -> true);
+    obs = Detmt_obs.Recorder.disabled }
+
+(* The pass's stop rule on the queue [A; B; C], all running "locked": A is
+   predicted with future set {m1} (announced), B is unpredicted (nothing
+   announced), C requests m2.  Only queue predecessors gate a request, so
+   the first unpredicted thread is itself still a candidate; everything
+   behind it waits. *)
+let test_pmat_stop_rule () =
+  let summary = snd (Detmt_transform.Transform.predictive scenario_cls) in
+  let syncid =
+    match Detmt_analysis.Predict.find_method summary "locked" with
+    | Some { Detmt_analysis.Predict.sids = [ i ]; _ } ->
+      i.Detmt_analysis.Predict.sid
+    | _ -> Alcotest.fail "one sync id expected in \"locked\""
+  in
+  let m1 = 1 and m2 = 2 and m3 = 3 in
+  let ta, tb, tc = (1, 2, 3) in
+  let setup () =
+    let granted = ref [] in
+    let sched =
+      Detmt_sched.Decision.instantiate
+        (module Detmt_sched.Pmat.Base)
+        ~config:Detmt_runtime.Config.default ~summary:(Some summary)
+        (stub_actions ~granted)
+    in
+    List.iter sched.on_request [ ta; tb; tc ];
+    sched.on_lockinfo ta ~syncid ~mutex:m1;
+    (sched, granted)
+  in
+  let sched, granted = setup () in
+  sched.on_lock tc ~syncid ~mutex:m2;
+  Alcotest.(check (list int)) "C behind unpredicted B stays deferred" []
+    !granted;
+  sched.on_lock tb ~syncid ~mutex:m3;
+  Alcotest.(check (list int))
+    "unpredicted B on a free, unmarked mutex is granted; C still waits"
+    [ tb ] !granted;
+  let sched, granted = setup () in
+  sched.on_lock tb ~syncid ~mutex:m1;
+  Alcotest.(check (list int)) "B on A's future mutex stays deferred" []
+    !granted
+
 (* ------------------------------- PDS -------------------------------- *)
 
 let test_pds_round_opens_when_batch_arrives () =
@@ -355,6 +420,7 @@ let suite =
      test_pmat_parallel_disjoint_locks);
     ("pmat serialises conflicts", `Quick, test_pmat_serialises_conflicts);
     ("pmat conflict order", `Quick, test_pmat_conflict_order_is_queue_order);
+    ("pmat stop rule", `Quick, test_pmat_stop_rule);
     ("pds round opens on full batch", `Quick,
      test_pds_round_opens_when_batch_arrives);
     ("pds dummies fill partial batch", `Quick,
