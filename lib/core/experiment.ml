@@ -185,9 +185,13 @@ let timeline ?(scheduler = "mat") ?(workload = `Tail) ?(clients = 3)
         Detmt_workload.Disjoint.gen )
   in
   let engine = Engine.create () in
+  (* The renderer reads the timed event list, so this run retains it. *)
+  let config =
+    { Active.default_params.config with Detmt_runtime.Config.trace = true }
+  in
   let system =
     Active.create ~engine ~cls
-      ~params:{ Active.default_params with scheduler } ()
+      ~params:{ Active.default_params with scheduler; config } ()
   in
   Client.run_clients ~engine ~system ~clients ~requests_per_client:requests
     ~gen ();

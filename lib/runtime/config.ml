@@ -16,7 +16,9 @@ type t = {
   pds_batch : int; (* PDS: threads per scheduling round *)
   pds_dummy_timeout_ms : float;
       (* PDS: delay before dummy messages fill an incomplete batch *)
-  trace : bool; (* record the scheduling trace *)
+  trace : bool;
+      (* retain the timed scheduling-event list; the trace hash is always
+         computed *)
   ws_precise : bool;
       (* workspace merge policy: [false] resolves write-write overlaps
          lowest-slot-wins silently (the losing speculation aborts and
@@ -27,7 +29,7 @@ type t = {
 let default =
   { cores = 4; lock_overhead_ms = 0.02; bookkeeping_overhead_ms = 0.01;
     reply_build_ms = 0.1; pds_batch = 4; pds_dummy_timeout_ms = 5.0;
-    trace = true; ws_precise = false }
+    trace = false; ws_precise = false }
 
 let validate t =
   if t.cores < 1 then invalid_arg "Config: cores must be >= 1";

@@ -16,7 +16,13 @@ type t = {
   pds_batch : int;  (** PDS: worker slots per scheduling round *)
   pds_dummy_timeout_ms : float;
       (** PDS: delay before dummy messages fill an incomplete batch *)
-  trace : bool;  (** record the scheduling trace *)
+  trace : bool;
+      (** retain the timed scheduling-event list ({!Detmt_sim.Trace.events},
+          read by the timeline renderer and by tests).  The trace hash
+          ({!Detmt_sim.Trace.fingerprint}) is computed either way, so this
+          flag never changes a fingerprint; it only decides whether a run
+          keeps per-event history that grows with its length.  Default
+          [false]. *)
   ws_precise : bool;
       (** workspace merge policy ([Precise_error]): [false] resolves
           write-write overlaps lowest-slot-wins silently, [true] additionally

@@ -1,10 +1,15 @@
 type entry = { mutable owner : int; mutable count : int }
 
-type t = (int, entry) Hashtbl.t
+type t = {
+  entries : (int, entry) Hashtbl.t; (* mutex -> owner and reentrancy depth *)
+  held : (int, int) Hashtbl.t;
+      (* tid -> number of mutexes it owns; only threads owning at least one,
+         so [holds_any] is one lookup instead of a scan of every mutex *)
+}
 
-let create () : t = Hashtbl.create 64
+let create () = { entries = Hashtbl.create 64; held = Hashtbl.create 64 }
 
-let entry t mutex = Hashtbl.find_opt t mutex
+let entry t mutex = Hashtbl.find_opt t.entries mutex
 
 let owner t ~mutex =
   match entry t mutex with
@@ -14,10 +19,22 @@ let owner t ~mutex =
 let hold_count t ~mutex =
   match entry t mutex with Some e -> e.count | None -> 0
 
+let held_count t ~tid =
+  match Hashtbl.find t.held tid with n -> n | exception Not_found -> 0
+
+(* The two ownership transitions: a mutex becomes owned by [tid] (count
+   0 -> positive) or stops being owned by it (positive -> 0). *)
+let took t tid = Hashtbl.replace t.held tid (held_count t ~tid + 1)
+
+let dropped t tid =
+  let n = held_count t ~tid in
+  if n <= 1 then Hashtbl.remove t.held tid
+  else Hashtbl.replace t.held tid (n - 1)
+
 (* Allocation-free: schedulers probe this once per queued request per
    decision pass. *)
 let is_free_for t ~mutex ~tid =
-  match Hashtbl.find t mutex with
+  match Hashtbl.find t.entries mutex with
   | e -> e.count = 0 || e.owner = tid
   | exception Not_found -> true
 
@@ -32,8 +49,11 @@ let acquire t ~mutex ~tid =
            mutex tid e.owner)
   | Some e ->
     e.owner <- tid;
-    e.count <- 1
-  | None -> Hashtbl.add t mutex { owner = tid; count = 1 }
+    e.count <- 1;
+    took t tid
+  | None ->
+    Hashtbl.add t.entries mutex { owner = tid; count = 1 };
+    took t tid
 
 let owned_entry t ~mutex ~tid ~what =
   match entry t mutex with
@@ -46,12 +66,14 @@ let owned_entry t ~mutex ~tid ~what =
 let release t ~mutex ~tid =
   let e = owned_entry t ~mutex ~tid ~what:"release" in
   e.count <- e.count - 1;
+  if e.count = 0 then dropped t tid;
   e.count = 0
 
 let release_all t ~mutex ~tid =
   let e = owned_entry t ~mutex ~tid ~what:"release_all" in
   let count = e.count in
   e.count <- 0;
+  dropped t tid;
   count
 
 let restore t ~mutex ~tid ~count =
@@ -63,20 +85,23 @@ let restore t ~mutex ~tid ~count =
          e.owner)
   | Some e ->
     e.owner <- tid;
-    e.count <- count
-  | None -> Hashtbl.add t mutex { owner = tid; count }
+    e.count <- count;
+    took t tid
+  | None ->
+    Hashtbl.add t.entries mutex { owner = tid; count };
+    took t tid
 
 let holders t =
   Hashtbl.fold
     (fun mutex e acc -> if e.count > 0 then (mutex, e.owner) :: acc else acc)
-    t []
+    t.entries []
   |> List.sort compare
 
 let held_by t ~tid =
   Hashtbl.fold
     (fun mutex e acc -> if e.count > 0 && e.owner = tid then mutex :: acc
       else acc)
-    t []
+    t.entries []
   |> List.sort compare
 
-let holds_any t ~tid = held_by t ~tid <> []
+let holds_any t ~tid = Hashtbl.mem t.held tid

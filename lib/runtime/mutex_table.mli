@@ -41,4 +41,9 @@ val holders : t -> (int * int) list
 val held_by : t -> tid:int -> int list
 (** Mutexes currently owned by the thread, sorted. *)
 
+val held_count : t -> tid:int -> int
+(** Number of distinct mutexes the thread owns (reentrant entries count
+    once); maintained on every ownership change, O(1). *)
+
 val holds_any : t -> tid:int -> bool
+(** [held_count > 0], in one lookup. *)

@@ -43,7 +43,9 @@ type t = {
   mutexes : Mutex_table.t;
   condvars : Condvar.t;
   trace_rec : Trace.t;
-  threads : (int, thread) Hashtbl.t;
+  threads : (int, thread) Hashtbl.t; (* live threads only *)
+  mutable active : int; (* delivered, not yet terminated *)
+  mutable last_uid : int; (* highest request uid delivered *)
   mutable sched : Sched_iface.sched option;
   obs : Recorder.t;
   callbacks : callbacks;
@@ -77,14 +79,12 @@ let thread t tid =
   | Some th -> th
   | None -> invalid_arg (Printf.sprintf "Replica %d: unknown thread %d" t.id tid)
 
-(* Call sites guard with [tracing] *before* constructing the event, so a
-   disabled trace allocates nothing. *)
-let tracing t = t.config.Config.trace
-
+(* Every event is folded into the trace hash; [Config.trace] only decides
+   whether the timed event list is retained as well. *)
 let record t ev = Trace.record_at t.trace_rec ~time:(Engine.now t.engine) ev
 
-(* Observability (the flight recorder) is likewise guarded at every call
-   site: [t.obs] defaults to [Recorder.disabled] and must never affect the
+(* Observability (the flight recorder) is guarded at every call site:
+   [t.obs] defaults to [Recorder.disabled] and must never affect the
    simulation — it only ever reads the clock. *)
 let observing t = Recorder.enabled t.obs
 
@@ -116,11 +116,6 @@ let record_acquisition t ~mutex ~th =
   Hashtbl.replace t.acq_hashes mutex
     (mix (mix prev th.req.Request.client) th.req.Request.client_req)
 
-let count_active t =
-  Hashtbl.fold
-    (fun _ th n -> match th.status with Terminated -> n | _ -> n + 1)
-    t.threads 0
-
 let rec advance t th =
   if t.live then
     match th.cont with
@@ -135,7 +130,8 @@ let rec advance t th =
 (* Charge CPU time and continue; zero-cost steps continue synchronously.
    The continuation is a typed (handler, tid) pair, so charging cost never
    allocates a closure — threads are looked up again at dispatch, which is
-   safe because a replica never removes entries from [t.threads]. *)
+   safe because a thread leaves [t.threads] only in [finish], and a
+   finished thread has no continuation left to dispatch. *)
 and after_cost_advance t duration th =
   if duration <= 0.0 then advance t th
   else Cpu.exec_h t.cpu ~duration t.advance_h th.tid
@@ -167,8 +163,9 @@ and step t th outcome =
 
 and finish t th =
   if t.live then begin
+    (match th.status with Terminated -> () | _ -> t.active <- t.active - 1);
     th.status <- Terminated;
-    if tracing t then record t (Trace.Thread_end { tid = th.tid });
+    record t (Trace.Thread_end { tid = th.tid });
     if observing t then begin
       Recorder.request_ended t.obs ~replica:t.id ~uid:th.tid
         ~at:(Engine.now t.engine);
@@ -177,11 +174,12 @@ and finish t th =
     t.completed <- t.completed + 1;
     (sched t).on_terminate th.tid;
     if not th.req.Request.dummy then t.callbacks.send_reply th.req;
+    Hashtbl.remove t.threads th.tid;
     (* Local quiescence: every delivered request has run to completion.  The
        state is now a pure function of the delivered prefix of the total
        order, so it is the sound moment for a divergence checkpoint. *)
     match t.on_quiescent with
-    | Some hook when count_active t = 0 -> hook ~completed:t.completed
+    | Some hook when t.active = 0 -> hook ~completed:t.completed
     | _ -> ()
   end
 
@@ -229,7 +227,7 @@ and handle_spec_op t th w op =
    observables. *)
 and ws_unsafe_abort t th =
   t.ws_aborts <- t.ws_aborts + 1;
-  if tracing t then record t (Trace.Ws_abort { tid = th.tid; conflicts = 0 });
+  record t (Trace.Ws_abort { tid = th.tid; conflicts = 0 });
   if observing t then Recorder.incr t.obs "replica.ws.aborts_unsafe";
   th.ws <- None;
   th.cont <- None;
@@ -245,16 +243,14 @@ and handle_direct_op t th op =
       (* Re-entrant entry: no scheduling decision needed (section 2: binary,
          re-entrant mutexes). *)
       Mutex_table.acquire t.mutexes ~mutex ~tid:th.tid;
-      if tracing t then
-        record t (Trace.Lock_granted { tid = th.tid; syncid; mutex });
+      record t (Trace.Lock_granted { tid = th.tid; syncid; mutex });
       record_acquisition t ~mutex ~th;
       s.on_acquired th.tid ~syncid ~mutex;
       after_cost_advance t t.config.lock_overhead_ms th
     end
     else begin
       th.status <- Lock_blocked { syncid; mutex };
-      if tracing t then
-        record t (Trace.Lock_requested { tid = th.tid; syncid; mutex });
+      record t (Trace.Lock_requested { tid = th.tid; syncid; mutex });
       if observing t then
         (* The scheduler may defer the grant even when the mutex is free;
            attribute that stall to policy, not contention. *)
@@ -266,18 +262,18 @@ and handle_direct_op t th op =
     end
   | Op.Unlock { syncid; mutex } ->
     let freed = Mutex_table.release t.mutexes ~mutex ~tid:th.tid in
-    if tracing t then record t (Trace.Unlocked { tid = th.tid; syncid; mutex });
+    record t (Trace.Unlocked { tid = th.tid; syncid; mutex });
     s.on_unlock th.tid ~syncid ~mutex ~freed;
     after_cost_advance t t.config.lock_overhead_ms th
   | Op.Wait { mutex } ->
     let count = Mutex_table.release_all t.mutexes ~mutex ~tid:th.tid in
     th.status <- Wait_parked { mutex; count };
     Condvar.park t.condvars ~mutex ~tid:th.tid;
-    if tracing t then record t (Trace.Wait_begin { tid = th.tid; mutex });
+    record t (Trace.Wait_begin { tid = th.tid; mutex });
     if observing t then rec_wait_begin t th Recorder.Condvar;
     s.on_wait th.tid ~mutex
   | Op.Notify { mutex; all } ->
-    if tracing t then record t (Trace.Notify { tid = th.tid; mutex; all });
+    record t (Trace.Notify { tid = th.tid; mutex; all });
     let woken =
       if all then Condvar.notify_all t.condvars ~mutex
       else Option.to_list (Condvar.notify_one t.condvars ~mutex)
@@ -302,7 +298,7 @@ and handle_direct_op t th op =
   | Op.Nested { service; duration } ->
     let call_index = th.nested_count in
     th.nested_count <- call_index + 1;
-    if tracing t then record t (Trace.Nested_begin { tid = th.tid; service });
+    record t (Trace.Nested_begin { tid = th.tid; service });
     if List.mem call_index th.buffered_replies then begin
       (* The reply (broadcast by the invoking replica) overtook us. *)
       th.buffered_replies <-
@@ -310,7 +306,7 @@ and handle_direct_op t th op =
       th.status <- Nested_ready { call_index };
       if observing t then rec_wait_begin t th Recorder.Resume_hold;
       s.on_nested_begin th.tid;
-      if tracing t then record t (Trace.Nested_end { tid = th.tid; service = 0 });
+      record t (Trace.Nested_end { tid = th.tid; service = 0 });
       s.on_nested_reply th.tid
     end
     else begin
@@ -348,8 +344,7 @@ let do_start_thread t tid =
   (match th.status with
   | Created -> ()
   | _ -> invalid_arg (Printf.sprintf "Replica %d: t%d started twice" t.id tid));
-  if tracing t then
-    record t (Trace.Thread_start { tid; method_name = th.req.Request.meth });
+  record t (Trace.Thread_start { tid; method_name = th.req.Request.meth });
   if observing t then
     Recorder.request_started t.obs ~replica:t.id ~uid:tid
       ~at:(Engine.now t.engine);
@@ -383,9 +378,7 @@ let do_ws_commit t tid =
     match Workspace.conflicts w with
     | [] ->
       t.ws_commits <- t.ws_commits + 1;
-      if tracing t then
-        record t
-          (Trace.Ws_commit { tid; writes = Workspace.write_set_size w });
+      record t (Trace.Ws_commit { tid; writes = Workspace.write_set_size w });
       if observing t then begin
         Recorder.incr t.obs "replica.ws.commits";
         Recorder.observe t.obs "replica.ws.write_set"
@@ -411,9 +404,7 @@ let do_ws_commit t tid =
          [Precise_error] policy additionally surfaces each conflicting
          field through the flight recorder. *)
       t.ws_aborts <- t.ws_aborts + 1;
-      if tracing t then
-        record t
-          (Trace.Ws_abort { tid; conflicts = List.length conflicts });
+      record t (Trace.Ws_abort { tid; conflicts = List.length conflicts });
       if observing t then begin
         Recorder.incr t.obs "replica.ws.aborts_stale";
         if t.config.Config.ws_precise then
@@ -440,7 +431,7 @@ let do_grant_lock t tid =
   match th.status with
   | Lock_blocked { syncid; mutex } ->
     Mutex_table.acquire t.mutexes ~mutex ~tid;
-    if tracing t then record t (Trace.Lock_granted { tid; syncid; mutex });
+    record t (Trace.Lock_granted { tid; syncid; mutex });
     if observing t then rec_wait_end t th;
     record_acquisition t ~mutex ~th;
     (sched t).on_acquired tid ~syncid ~mutex;
@@ -455,7 +446,7 @@ let do_grant_reacquire t tid =
   match th.status with
   | Reacquire_blocked { mutex; count } ->
     Mutex_table.restore t.mutexes ~mutex ~tid ~count;
-    if tracing t then record t (Trace.Wait_end { tid; mutex });
+    record t (Trace.Wait_end { tid; mutex });
     if observing t then rec_wait_end t th;
     record_acquisition t ~mutex ~th;
     (sched t).on_reacquired tid ~mutex;
@@ -484,8 +475,10 @@ let create ~engine ~id ~cls ~config ?(oracle = Interp.default_oracle)
   let t =
     { id; engine; cpu = Cpu.create engine ~cores:config.Config.cores; config;
       cls; obj = Object_state.create cls; mutexes = Mutex_table.create ();
-      condvars = Condvar.create (); trace_rec = Trace.create ();
-      threads = Hashtbl.create 64; sched = None; obs; callbacks; oracle;
+      condvars = Condvar.create ();
+      trace_rec = Trace.create ~retain:config.Config.trace ();
+      threads = Hashtbl.create 64; active = 0; last_uid = min_int;
+      sched = None; obs; callbacks; oracle;
       live = true; completed = 0; ws_commits = 0; ws_aborts = 0;
       acquisitions = 0;
       acq_hashes = Hashtbl.create 64; on_quiescent = None; advance_h = 0;
@@ -557,8 +550,14 @@ let id t = t.id
 let deliver_request t req =
   if t.live then begin
     let tid = req.Request.uid in
-    if Hashtbl.mem t.threads tid then
-      invalid_arg (Printf.sprintf "Replica %d: duplicate request %d" t.id tid);
+    (* Uids are total-order positions, so a replica sees them strictly
+       increasing; a repeat (live or finished) is a delivery bug. *)
+    if tid <= t.last_uid then
+      invalid_arg
+        (Printf.sprintf "Replica %d: duplicate or out-of-order request %d"
+           t.id tid);
+    t.last_uid <- tid;
+    t.active <- t.active + 1;
     Hashtbl.add t.threads tid
       { tid; req; cont = None; status = Created; nested_count = 0;
         buffered_replies = []; ws = None };
@@ -573,28 +572,28 @@ let deliver_request t req =
   end
 
 let nested_reply t ~tid ~call_index =
-  if t.live then begin
-    let th = thread t tid in
-    match th.status with
-    | Nested_blocked { call_index = pending } when pending = call_index ->
-      th.status <- Nested_ready { call_index };
-      if observing t then begin
-        rec_wait_end t th;
-        rec_wait_begin t th Recorder.Resume_hold
-      end;
-      if tracing t then record t (Trace.Nested_end { tid; service = 0 });
-      (sched t).on_nested_reply tid
-    | _ -> th.buffered_replies <- call_index :: th.buffered_replies
-  end
+  if t.live then
+    match Hashtbl.find_opt t.threads tid with
+    | None -> () (* a late duplicate for a finished thread *)
+    | Some th -> (
+      match th.status with
+      | Nested_blocked { call_index = pending } when pending = call_index ->
+        th.status <- Nested_ready { call_index };
+        if observing t then begin
+          rec_wait_end t th;
+          rec_wait_begin t th Recorder.Resume_hold
+        end;
+        record t (Trace.Nested_end { tid; service = 0 });
+        (sched t).on_nested_reply tid
+      | _ -> th.buffered_replies <- call_index :: th.buffered_replies)
 
 let deliver_control t ~sender control =
   if t.live then begin
-    if tracing t then
-      record t
-        (match control with
-        | Sched_iface.Lsa_grant { grant_seq; mutex; tid } ->
-          Trace.Control_delivered { sender; grant_seq; mutex; tid }
-        | Sched_iface.View_change -> Trace.View_change { sender });
+    record t
+      (match control with
+      | Sched_iface.Lsa_grant { grant_seq; mutex; tid } ->
+        Trace.Control_delivered { sender; grant_seq; mutex; tid }
+      | Sched_iface.View_change -> Trace.View_change { sender });
     (sched t).on_control ~sender control
   end
 
@@ -614,16 +613,13 @@ let object_state t = t.obj
 
 let completed_requests t = t.completed
 
-let active_threads t = count_active t
+let active_threads t = t.active
 
 let thread_status t tid =
   Option.map (fun th -> th.status) (Hashtbl.find_opt t.threads tid)
 
 let threads_overview t =
-  Hashtbl.fold
-    (fun tid th acc ->
-      match th.status with Terminated -> acc | s -> (tid, s) :: acc)
-    t.threads []
+  Hashtbl.fold (fun tid th acc -> (tid, th.status) :: acc) t.threads []
   |> List.sort compare
 
 let lock_holders t = Mutex_table.holders t.mutexes

@@ -19,6 +19,7 @@ type thread_status =
           grants the slot-order commit barrier ([ws_commit]); still counts
           as an active thread *)
   | Terminated
+      (** set while the thread finishes; the replica then forgets it *)
 
 type callbacks = {
   send_reply : Request.t -> unit;
@@ -51,11 +52,14 @@ val create :
 val id : t -> int
 
 val deliver_request : t -> Request.t -> unit
-(** Called by the replication layer in total order. *)
+(** Called by the replication layer in total order.
+    @raise Invalid_argument when the request's uid does not exceed every uid
+    delivered before (a duplicate or out-of-order delivery). *)
 
 val nested_reply : t -> tid:int -> call_index:int -> unit
 (** Deliver a nested-invocation reply.  Replies arriving before the thread
-    reaches the call are buffered. *)
+    reaches the call are buffered; a reply for a thread that has already
+    finished (a late duplicate) is ignored. *)
 
 val deliver_control : t -> sender:int -> Sched_iface.control -> unit
 
@@ -77,9 +81,12 @@ val object_state : t -> Object_state.t
 val completed_requests : t -> int
 
 val active_threads : t -> int
-(** Threads delivered but not yet terminated. *)
+(** Threads delivered but not yet terminated.  O(1): a live-thread counter,
+    not a scan. *)
 
 val thread_status : t -> int -> thread_status option
+(** Status of a live thread; [None] once it has finished (the replica keeps
+    live threads only) or when the tid was never delivered. *)
 
 val threads_overview : t -> (int * thread_status) list
 (** All non-terminated threads with their status, sorted by tid — deadlock

@@ -1,36 +1,67 @@
 open Detmt_analysis
-module Iset = Set.Make (Int)
 
 type entry_state = Pending | Announced of int | Passed | Ignored
 
-type table = {
+(* The future lock set as a multiset: each mutex with its number of
+   [Announced] entries, ascending by mutex.  Per-thread future sets hold a
+   handful of mutexes, so a sorted list costs less than a hash table plus a
+   set, and it can be walked without allocating. *)
+type future = Nil | Cons of { mutex : int; mutable n : int; next : future }
+
+let rec future_add m = function
+  | Cons c when c.mutex = m ->
+    c.n <- c.n + 1;
+    Cons c
+  | Cons c when c.mutex < m -> Cons { c with next = future_add m c.next }
+  | l -> Cons { mutex = m; n = 1; next = l }
+
+let rec future_remove m = function
+  | Cons c when c.mutex = m ->
+    if c.n > 1 then begin
+      c.n <- c.n - 1;
+      Cons c
+    end
+    else c.next
+  | Cons c when c.mutex < m -> Cons { c with next = future_remove m c.next }
+  | l -> l
+
+let rec future_mem m = function
+  | Cons c -> c.mutex = m || (c.mutex < m && future_mem m c.next)
+  | Nil -> false
+
+let rec future_iter f = function
+  | Cons c ->
+    f c.mutex;
+    future_iter f c.next
+  | Nil -> ()
+
+(* Per-method registration data, resolved once per method name and shared
+   by every thread running that method. *)
+type meth = {
   ms : Predict.method_summary;
-  sidx : (int, Predict.sid_info) Hashtbl.t; (* sid -> info, shared per method *)
-  lidx : (int, Predict.loop_info) Hashtbl.t; (* lid -> info, shared per method *)
-  entries : (int, entry_state) Hashtbl.t; (* syncid -> state *)
+  sids : (int, sid_slot) Hashtbl.t; (* sid -> its slot in [entries], info *)
+  lidx : (int, Predict.loop_info) Hashtbl.t; (* lid -> info *)
+}
+
+and sid_slot = { slot : int; info : Predict.sid_info }
+
+type table = {
+  m : meth;
+  entries : entry_state array; (* indexed by [sid_slot.slot] *)
   mutable active_loops : int list; (* innermost first *)
   mutable exited_loops : int list;
   (* Incrementally maintained views of [entries], so the hot decision-module
-     queries ([predicted], [future_may_lock]) are O(1)/O(log n) instead of a
-     full fold per call (pMAT's rescan issues O(n²) of them per event). *)
+     queries ([predicted], [future_may_lock]) cost O(1) or O(size of the
+     future set) instead of a full fold per call (pMAT's rescan issues
+     O(n²) of them per event). *)
   mutable pending_left : int; (* # entries still [Pending] *)
-  announced : (int, int) Hashtbl.t; (* mutex -> # [Announced _] entries *)
-  mutable future : Iset.t; (* mutexes with announced count > 0, sorted *)
+  mutable future : future; (* mutexes with [Announced _] entries *)
   mutable predicted_cache : int;
       (* memoised [predicted_tab]: -1 unknown, 0 false, 1 true.  The
          predicate only reads [active_loops], [exited_loops] and
          [pending_left], so the three mutation points below reset it;
          decision modules may probe it many times per grant. *)
 }
-
-(* Per-method registration data, resolved once per method name and reused by
-   every thread running that method: [None] means pessimistic (no summary,
-   unknown method, or fallback). *)
-type minfo =
-  (Predict.method_summary
-  * (int, Predict.sid_info) Hashtbl.t
-  * (int, Predict.loop_info) Hashtbl.t)
-  option
 
 type thread_info =
   | Pessimistic (* no summary, or fallback method: everything unknown *)
@@ -39,15 +70,17 @@ type thread_info =
 type t = {
   summary : Predict.class_summary option;
   threads : (int, thread_info) Hashtbl.t;
-  mcache : (string, minfo) Hashtbl.t;
-      (* method name -> resolved summary + sid/loop indexes; [find_method]
-         is a list scan, so without the cache every registration pays it *)
+  mcache : (string, meth option) Hashtbl.t;
+      (* method name -> resolved summary + sid/loop indexes, [None] when
+         pessimistic (no summary, unknown method, or fallback);
+         [find_method] is a list scan, so without the cache every
+         registration pays it *)
 }
 
 let create ~summary () =
   { summary; threads = Hashtbl.create 64; mcache = Hashtbl.create 16 }
 
-let resolve t meth : minfo =
+let resolve t meth =
   match Hashtbl.find_opt t.mcache meth with
   | Some r -> r
   | None ->
@@ -59,14 +92,20 @@ let resolve t meth : minfo =
         | None -> None
         | Some ms when ms.fallback -> None
         | Some ms ->
-          let sidx = Hashtbl.create 16 and lidx = Hashtbl.create 8 in
+          let sids = Hashtbl.create 16 and lidx = Hashtbl.create 8 in
           List.iter
-            (fun (i : Predict.sid_info) -> Hashtbl.replace sidx i.sid i)
+            (fun (info : Predict.sid_info) ->
+              let slot =
+                match Hashtbl.find_opt sids info.sid with
+                | Some s -> s.slot
+                | None -> Hashtbl.length sids
+              in
+              Hashtbl.replace sids info.sid { slot; info })
             ms.sids;
           List.iter
             (fun (l : Predict.loop_info) -> Hashtbl.replace lidx l.lid l)
             ms.loops;
-          Some (ms, sidx, lidx))
+          Some { ms; sids; lidx })
     in
     Hashtbl.replace t.mcache meth r;
     r
@@ -75,15 +114,11 @@ let register t ~tid ~meth =
   let info =
     match resolve t meth with
     | None -> Pessimistic
-    | Some (ms, sidx, lidx) ->
-      let entries = Hashtbl.create 16 in
-      List.iter
-        (fun (i : Predict.sid_info) -> Hashtbl.replace entries i.sid Pending)
-        ms.sids;
+    | Some m ->
       Tracked
-        { ms; sidx; lidx; entries; active_loops = []; exited_loops = [];
-          pending_left = List.length ms.sids;
-          announced = Hashtbl.create 16; future = Iset.empty;
+        { m; entries = Array.make (Hashtbl.length m.sids) Pending;
+          active_loops = []; exited_loops = [];
+          pending_left = List.length m.ms.sids; future = Nil;
           predicted_cache = -1 }
   in
   Hashtbl.replace t.threads tid info
@@ -95,34 +130,30 @@ let tracked t tid =
   | Some (Tracked tab) -> Some tab
   | Some Pessimistic | None -> None
 
-(* The single mutation point: updates the pending counter and the announced
-   multiset / sorted future set along with the entry itself. *)
-let set_entry tab sid state =
-  match Hashtbl.find_opt tab.entries sid with
-  | None -> ()
-  | Some old ->
-    tab.predicted_cache <- -1;
-    (match old with
-    | Pending -> (
-      match state with
-      | Pending -> ()
-      | Announced _ | Passed | Ignored ->
-        tab.pending_left <- tab.pending_left - 1)
-    | Announced m ->
-      let n = Option.value ~default:0 (Hashtbl.find_opt tab.announced m) in
-      if n <= 1 then begin
-        Hashtbl.remove tab.announced m;
-        tab.future <- Iset.remove m tab.future
-      end
-      else Hashtbl.replace tab.announced m (n - 1)
-    | Passed | Ignored -> ());
-    (match state with
-    | Announced m ->
-      let n = Option.value ~default:0 (Hashtbl.find_opt tab.announced m) in
-      Hashtbl.replace tab.announced m (n + 1);
-      tab.future <- Iset.add m tab.future
-    | Pending | Passed | Ignored -> ());
-    Hashtbl.replace tab.entries sid state
+(* The slot of [sid] in [tab.entries], or -1 for a sid outside the method's
+   table (a helper-method sid inside an opaque region). *)
+let slot_of tab sid =
+  match Hashtbl.find tab.m.sids sid with
+  | s -> s.slot
+  | exception Not_found -> -1
+
+(* The single mutation point: updates the pending counter and the future
+   multiset along with the entry itself. *)
+let set_slot tab slot state =
+  let old = tab.entries.(slot) in
+  tab.predicted_cache <- -1;
+  (match old with
+  | Pending -> (
+    match state with
+    | Pending -> ()
+    | Announced _ | Passed | Ignored ->
+      tab.pending_left <- tab.pending_left - 1)
+  | Announced m -> tab.future <- future_remove m tab.future
+  | Passed | Ignored -> ());
+  (match state with
+  | Announced m -> tab.future <- future_add m tab.future
+  | Pending | Passed | Ignored -> ());
+  tab.entries.(slot) <- state
 
 let on_lockinfo t ~tid ~syncid ~mutex =
   match tracked t tid with
@@ -130,15 +161,18 @@ let on_lockinfo t ~tid ~syncid ~mutex =
   | Some tab -> (
     (* An already-resolved entry is never un-resolved by a late
        announcement (can only happen with unsound instrumentation). *)
-    match Hashtbl.find_opt tab.entries syncid with
-    | Some Pending | Some (Announced _) ->
-      set_entry tab syncid (Announced mutex)
-    | Some Passed | Some Ignored | None -> ())
+    let slot = slot_of tab syncid in
+    if slot >= 0 then
+      match tab.entries.(slot) with
+      | Pending | Announced _ -> set_slot tab slot (Announced mutex)
+      | Passed | Ignored -> ())
 
 let on_ignore t ~tid ~syncid =
   match tracked t tid with
   | None -> ()
-  | Some tab -> set_entry tab syncid Ignored
+  | Some tab ->
+    let slot = slot_of tab syncid in
+    if slot >= 0 then set_slot tab slot Ignored
 
 let loop_still_active tab (info : Predict.sid_info) =
   List.exists (fun lid -> List.mem lid tab.active_loops) info.in_loops
@@ -147,14 +181,14 @@ let on_acquired t ~tid ~syncid ~mutex =
   match tracked t tid with
   | None -> ()
   | Some tab -> (
-    match Hashtbl.find_opt tab.sidx syncid with
+    match Hashtbl.find_opt tab.m.sids syncid with
     | None -> () (* a helper-method sid inside an opaque region *)
-    | Some info ->
+    | Some { slot; info } ->
       if loop_still_active tab info then
         (* May be requested again on the next iteration: the mutex stays in
            the future set until the loop is left. *)
-        set_entry tab syncid (Announced mutex)
-      else set_entry tab syncid Passed)
+        set_slot tab slot (Announced mutex)
+      else set_slot tab slot Passed)
 
 let on_loop_enter t ~tid ~loopid =
   match tracked t tid with
@@ -176,21 +210,21 @@ let on_loop_exit t ~tid ~loopid =
     tab.exited_loops <- loopid :: tab.exited_loops;
     (* Every sid of the scope that cannot run again (no other enclosing
        scope still active) is resolved. *)
-    (match Hashtbl.find_opt tab.lidx loopid with
+    (match Hashtbl.find_opt tab.m.lidx loopid with
     | None -> ()
     | Some linfo ->
       List.iter
         (fun sid ->
-          match Hashtbl.find_opt tab.sidx sid with
-          | Some info when not (loop_still_active tab info) -> (
-            match Hashtbl.find_opt tab.entries sid with
-            | Some Pending | Some (Announced _) -> set_entry tab sid Ignored
-            | Some Passed | Some Ignored | None -> ())
+          match Hashtbl.find_opt tab.m.sids sid with
+          | Some { slot; info } when not (loop_still_active tab info) -> (
+            match tab.entries.(slot) with
+            | Pending | Announced _ -> set_slot tab slot Ignored
+            | Passed | Ignored -> ())
           | Some _ | None -> ())
         linfo.sids)
 
 let changing tab lid =
-  match Hashtbl.find_opt tab.lidx lid with
+  match Hashtbl.find_opt tab.m.lidx lid with
   | Some l -> l.changing
   | None -> true (* unknown scope: be pessimistic *)
 
@@ -206,8 +240,8 @@ let predicted_tab tab =
              (not l.changing)
              || List.mem l.lid tab.exited_loops
              || List.mem l.lid tab.active_loops (* excluded by 1 if changing *))
-           tab.ms.loops
-      (* 3. every entry is resolved — maintained incrementally by [set_entry] *)
+           tab.m.ms.loops
+      (* 3. every entry is resolved — maintained incrementally by [set_slot] *)
       && tab.pending_left = 0
     in
     tab.predicted_cache <- (if v then 1 else 0);
@@ -222,7 +256,7 @@ let predicted t ~tid =
 let iter_future t ~tid ~f =
   match Hashtbl.find t.threads tid with
   | Tracked tab when predicted_tab tab ->
-    Iset.iter f tab.future;
+    future_iter f tab.future;
     true
   | Tracked _ | Pessimistic -> false
   | exception Not_found -> false
@@ -230,14 +264,15 @@ let iter_future t ~tid ~f =
 let future_may_lock t ~tid ~mutex =
   match tracked t tid with
   | None -> true
-  | Some tab -> if predicted_tab tab then Iset.mem mutex tab.future else true
+  | Some tab -> if predicted_tab tab then future_mem mutex tab.future else true
 
 let no_future_locks t ~tid =
   match tracked t tid with
   | None -> false
-  | Some tab -> predicted_tab tab && Iset.is_empty tab.future
+  | Some tab -> (
+    predicted_tab tab && match tab.future with Nil -> true | Cons _ -> false)
 
 let uses_condvars t ~tid =
   match Hashtbl.find_opt t.threads tid with
-  | Some (Tracked tab) -> tab.ms.uses_condvars
+  | Some (Tracked tab) -> tab.m.ms.uses_condvars
   | Some Pessimistic | None -> true (* unknown method: assume the worst *)

@@ -28,7 +28,17 @@ type t = {
   sub : Substrate.t;
   mutable primary : int option;
   mutable primary_wants : int option; (* mutex the primary waits on *)
+  mutable ex_primaries : int;
+      (* live threads with [ex_primary] set: when zero, [promote] skips the
+         scan for a ready ex-primary *)
 }
+
+(* The only writer of [ex_primary], so [ex_primaries] stays exact. *)
+let set_ex_primary t (th : Substrate.thread) b =
+  if th.ex_primary <> b then begin
+    th.ex_primary <- b;
+    t.ex_primaries <- (t.ex_primaries + if b then 1 else -1)
+  end
 
 let never_locks_again t tid = Substrate.no_future_locks t.sub ~tid
 
@@ -69,7 +79,9 @@ and promote t =
   if t.primary = None then begin
     (* 1. A blocked (ex-)primary that can continue takes priority. *)
     let ready_ex =
-      Substrate.first t.sub ~f:(fun th -> th.ex_primary && not th.suspended)
+      if t.ex_primaries = 0 then None
+      else
+        Substrate.first t.sub ~f:(fun th -> th.ex_primary && not th.suspended)
     in
     let candidate =
       match ready_ex with
@@ -96,7 +108,7 @@ and promote t =
           ()
       end;
       th.is_primary <- true;
-      th.ex_primary <- false;
+      set_ex_primary t th false;
       t.primary <- Some th.tid;
       run_primary t th
   end
@@ -169,7 +181,7 @@ let on_wait t tid ~mutex =
   let th = Substrate.thread t.sub tid in
   th.suspended <- true;
   if th.is_primary then begin
-    th.ex_primary <- true;
+    set_ex_primary t th true;
     demote t th
   end;
   retry_primary_want t ~mutex
@@ -180,14 +192,14 @@ let on_wakeup t tid ~mutex =
   th.pending <- Some (Substrate.Reacquire mutex);
   (* Every waiter once held the monitor, so it was primary when it locked and
      suspended as primary: resume with ex-primary priority. *)
-  th.ex_primary <- true;
+  set_ex_primary t th true;
   promote t
 
 let on_nested_begin t tid =
   let th = Substrate.thread t.sub tid in
   th.suspended <- true;
   if th.is_primary then begin
-    th.ex_primary <- true;
+    set_ex_primary t th true;
     th.pending <- Some Substrate.Resume;
     demote t th
   end
@@ -205,6 +217,7 @@ let on_nested_reply t tid =
 let on_terminate t tid =
   let th = Substrate.thread t.sub tid in
   Substrate.retire t.sub ~tid;
+  set_ex_primary t th false;
   if th.is_primary then begin
     t.primary <- None;
     t.primary_wants <- None
@@ -212,7 +225,7 @@ let on_terminate t tid =
   promote t
 
 let policy sub : Sched_iface.sched =
-  let t = { sub; primary = None; primary_wants = None } in
+  let t = { sub; primary = None; primary_wants = None; ex_primaries = 0 } in
   let base =
     Sched_iface.no_op_sched ~name:(Substrate.name sub)
       ~on_request:(on_request t) ~on_lock:(on_lock t) ~on_wakeup:(on_wakeup t)

@@ -3,7 +3,11 @@
     Each replica records the sequence of lock grants, releases, waits and
     notifications it performed.  Two replicas executed deterministically must
     produce byte-identical traces; {!fingerprint} folds a trace into a single
-    64-bit hash used by the consistency checker. *)
+    64-bit hash used by the consistency checker.
+
+    The hash is always computed.  The timed event list, which grows with the
+    run, is kept only by a retaining trace — the timeline renderer and the
+    tests that inspect individual events ask for one. *)
 
 type event =
   | Lock_requested of { tid : int; syncid : int; mutex : int }
@@ -31,11 +35,9 @@ type event =
 
 type t
 
-val create : unit -> t
-
-val enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
+val create : ?retain:bool -> unit -> t
+(** [retain] (default [true]): keep the timed event list as well as the
+    hash. *)
 
 val record : t -> event -> unit
 (** Record with timestamp 0 (unit tests). *)
@@ -44,13 +46,12 @@ val record_at : t -> time:float -> event -> unit
 (** Record with the current virtual time; the timestamp feeds the timeline
     renderer and is excluded from {!fingerprint}. *)
 
-val length : t -> int
-
 val events : t -> event list
-(** Events in recording order. *)
+(** Events in recording order; empty unless the trace retains them. *)
 
 val timed_events : t -> (float * event) list
-(** Events with their virtual timestamps, in recording order. *)
+(** Events with their virtual timestamps, in recording order; empty unless
+    the trace retains them. *)
 
 val fingerprint : t -> int64
 (** Order-sensitive hash of all recorded events. *)

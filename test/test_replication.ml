@@ -188,6 +188,137 @@ let test_passive_checkpoint_replay () =
     (Detmt_runtime.Replica.state_fingerprint primary
     = Detmt_runtime.Replica.state_fingerprint backup)
 
+(* ---------------------- live-thread accounting ---------------------- *)
+
+module Replica = Detmt_runtime.Replica
+
+let prodcons_cls = Detmt_workload.Prodcons.cls Detmt_workload.Prodcons.default
+
+let workloads =
+  [ ("figure1", figure1_cls, figure1_gen);
+    ("prodcons", prodcons_cls, Detmt_workload.Prodcons.gen) ]
+
+(* A replica keeps live threads only: after a run its live-thread counter
+   is back to zero and its thread table is empty. *)
+let test_active_drains scheduler () =
+  List.iter
+    (fun (name, cls, gen) ->
+      let system = run ~scheduler ~cls ~gen () in
+      Alcotest.(check int) (name ^ ": all replies") 20
+        (Active.replies_received system);
+      List.iter
+        (fun r ->
+          Alcotest.(check int) (name ^ ": no active thread") 0
+            (Replica.active_threads r);
+          Alcotest.check b (name ^ ": no thread kept") true
+            (Replica.threads_overview r = []))
+        (Active.replicas system))
+    workloads
+
+(* The quiescence checkpoints, which the replica fires off its live-thread
+   counter, equal the stream predicted by a shadow table of live tids that
+   a wrapper around each replica's scheduler keeps: a checkpoint right
+   after every termination that leaves the shadow table empty. *)
+let test_checkpoints_match_shadow scheduler () =
+  List.iter
+    (fun (name, cls, gen) ->
+      let replicas = ref [] in
+      let shadow = Hashtbl.create 64 (* (replica, tid) of live threads *)
+      and completed = Hashtbl.create 4 in
+      let expected = ref [] and actual = ref [] in
+      let live id =
+        Hashtbl.fold (fun (r, _) () n -> if r = id then n + 1 else n) shadow 0
+      in
+      let instantiate cfg (actions : Detmt_runtime.Sched_iface.actions) =
+        let s = Detmt_sched.Registry.instantiate cfg actions in
+        let id = actions.replica_id in
+        { s with
+          on_request =
+            (fun tid ->
+              Hashtbl.replace shadow (id, tid) ();
+              s.on_request tid);
+          on_terminate =
+            (fun tid ->
+              Hashtbl.remove shadow (id, tid);
+              Hashtbl.replace completed id
+                (1 + Option.value ~default:0 (Hashtbl.find_opt completed id));
+              s.on_terminate tid;
+              if live id = 0 then
+                let r = List.find (fun r -> Replica.id r = id) !replicas in
+                expected :=
+                  (id, Hashtbl.find completed id, Replica.state_fingerprint r)
+                  :: !expected) }
+      in
+      let engine = Engine.create () in
+      let system =
+        Active.create ~instantiate ~engine ~cls
+          ~params:{ Active.default_params with scheduler } ()
+      in
+      replicas := Active.replicas system;
+      Active.set_checkpoint_sink system (fun ~replica ~seq ~hash ~state:_ ->
+          actual := (replica, seq, hash) :: !actual);
+      Client.run_clients ~engine ~system ~clients:4 ~requests_per_client:5
+        ~gen ();
+      Alcotest.(check int) (name ^ ": all replies") 20
+        (Active.replies_received system);
+      Alcotest.check b (name ^ ": checkpoints emitted") true (!actual <> []);
+      Alcotest.(check (list (triple int int int64)))
+        (name ^ ": checkpoint stream") (List.rev !expected) (List.rev !actual))
+    workloads
+
+(* [Config.trace] only decides whether replicas keep the timed event list:
+   the trace hash is folded either way, so fingerprints agree. *)
+let test_trace_retention scheduler () =
+  List.iter
+    (fun (name, cls, gen) ->
+      let traced trace =
+        let params =
+          { Active.default_params with
+            config = { Active.default_params.config with trace } }
+        in
+        Active.replicas (run ~scheduler ~cls ~gen ~params ())
+        |> List.map Replica.trace
+      in
+      let off = traced false and on = traced true in
+      Alcotest.(check (list int64))
+        (name ^ ": same fingerprints")
+        (List.map Trace.fingerprint on)
+        (List.map Trace.fingerprint off);
+      Alcotest.check b (name ^ ": no events kept when off") true
+        (List.for_all (fun t -> Trace.events t = []) off);
+      Alcotest.check b (name ^ ": events kept when on") true
+        (List.for_all (fun t -> Trace.events t <> []) on))
+    workloads
+
+(* A nested reply that arrives after its thread finished (a late duplicate)
+   is dropped: nothing raises, no thread is resurrected to buffer it, and
+   neither the state nor the trace moves. *)
+let test_late_nested_reply_ignored () =
+  let params =
+    { Active.default_params with
+      config = { Active.default_params.config with trace = true } }
+  in
+  let system = run ~params () in
+  List.iter
+    (fun r ->
+      let nested =
+        List.filter_map
+          (function Trace.Nested_begin { tid; _ } -> Some tid | _ -> None)
+          (Trace.events (Replica.trace r))
+      in
+      Alcotest.check b "some thread made a nested call" true (nested <> []);
+      let state = Replica.state_fingerprint r
+      and trace = Trace.fingerprint (Replica.trace r) in
+      List.iter (fun tid -> Replica.nested_reply r ~tid ~call_index:0) nested;
+      Alcotest.(check int) "still quiescent" 0 (Replica.active_threads r);
+      Alcotest.check b "no thread resurrected" true
+        (Replica.threads_overview r = []);
+      Alcotest.check b "state unchanged" true
+        (Replica.state_fingerprint r = state);
+      Alcotest.check b "trace unchanged" true
+        (Trace.fingerprint (Replica.trace r) = trace))
+    (Active.replicas system)
+
 let per_scheduler name f =
   List.map
     (fun s -> (Printf.sprintf "%s (%s)" name s, `Quick, f s))
@@ -197,6 +328,9 @@ let suite =
   per_scheduler "workload completes" test_completes
   @ per_scheduler "replicas consistent" test_consistent
   @ per_scheduler "state counts" test_state_counts
+  @ per_scheduler "active threads drain" test_active_drains
+  @ per_scheduler "checkpoints vs shadow" test_checkpoints_match_shadow
+  @ per_scheduler "trace retention" test_trace_retention
   @ [ ("freefall diverges", `Quick, test_freefall_diverges);
       ("identical runs identical", `Quick, test_identical_runs_identical);
       ("seq slower than mat", `Quick, test_seq_slower_than_mat);
@@ -206,6 +340,7 @@ let suite =
       ("passive replay (seq)", `Quick, test_passive_replay);
       ("passive checkpoint replay (mat)", `Quick,
        test_passive_checkpoint_replay);
+      ("late nested reply ignored", `Quick, test_late_nested_reply_ignored);
     ]
   @ List.map
       (fun s ->

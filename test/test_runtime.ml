@@ -64,6 +64,60 @@ let test_mutex_held_by () =
   Alcotest.check b "holds_any" true (Mutex_table.holds_any t ~tid:2);
   Alcotest.check b "holds none" false (Mutex_table.holds_any t ~tid:3)
 
+(* [holds_any] and [held_count] are maintained incrementally; [held_by]
+   scans the whole table, so it is the oracle.  Illegal operations are
+   skipped (their raising is covered above); reentrant acquisitions and
+   wait/restore round trips are generated on purpose. *)
+type mutex_op =
+  | Acquire of int * int (* tid, mutex *)
+  | Release of int * int
+  | Release_all of int * int
+  | Restore of int * int * int (* tid, mutex, count *)
+
+let mutex_op_gen =
+  let open QCheck.Gen in
+  let tid = int_range 0 3 and mutex = int_range 0 4 in
+  frequency
+    [ (4, map2 (fun t m -> Acquire (t, m)) tid mutex);
+      (3, map2 (fun t m -> Release (t, m)) tid mutex);
+      (1, map2 (fun t m -> Release_all (t, m)) tid mutex);
+      (1, map3 (fun t m c -> Restore (t, m, c)) tid mutex (int_range 1 3)) ]
+
+let prop_mutex_held_count =
+  QCheck.Test.make ~count:300 ~name:"mutex held count matches held_by"
+    QCheck.(make Gen.(list_size (int_range 0 60) mutex_op_gen))
+    (fun ops ->
+      let t = Mutex_table.create () in
+      let owns tid mutex = Mutex_table.owner t ~mutex = Some tid in
+      let apply = function
+        | Acquire (tid, mutex) ->
+          if Mutex_table.is_free_for t ~mutex ~tid then
+            Mutex_table.acquire t ~mutex ~tid
+        | Release (tid, mutex) ->
+          if owns tid mutex then ignore (Mutex_table.release t ~mutex ~tid)
+        | Release_all (tid, mutex) ->
+          if owns tid mutex then
+            ignore (Mutex_table.release_all t ~mutex ~tid)
+        | Restore (tid, mutex, count) ->
+          if Mutex_table.owner t ~mutex = None then
+            Mutex_table.restore t ~mutex ~tid ~count
+      in
+      let consistent () =
+        List.for_all
+          (fun tid ->
+            let held = Mutex_table.held_by t ~tid in
+            let n = Mutex_table.held_count t ~tid in
+            Mutex_table.holds_any t ~tid = (held <> [])
+            && n = List.length held
+            && (n = 0) = (held = []))
+          [ 0; 1; 2; 3 ]
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          consistent ())
+        ops)
+
 (* ----------------------------- Condvar ----------------------------- *)
 
 let test_condvar_fifo () =
@@ -312,6 +366,7 @@ let suite =
     ("mutex foreign ops raise", `Quick, test_mutex_foreign_acquire_raises);
     ("mutex release_all/restore", `Quick, test_mutex_release_all_restore);
     ("mutex held_by", `Quick, test_mutex_held_by);
+    QCheck_alcotest.to_alcotest prop_mutex_held_count;
     ("condvar fifo", `Quick, test_condvar_fifo);
     ("condvar per mutex", `Quick, test_condvar_per_mutex);
     ("condvar double park", `Quick, test_condvar_double_park_rejected);

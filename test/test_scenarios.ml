@@ -13,12 +13,14 @@ let zero_overhead =
     lock_overhead_ms = 0.0; bookkeeping_overhead_ms = 0.0;
     reply_build_ms = 0.0 }
 
-let build ?(scheduler = "mat") ?(replicas = 1) cls =
+(* [~trace:true] for tests that read [Trace.events]: the replicas then
+   retain the event list, not only its hash. *)
+let build ?(scheduler = "mat") ?(replicas = 1) ?(trace = false) cls =
   let engine = Engine.create () in
   let params =
     { Active.default_params with
-      replicas; scheduler; config = zero_overhead; net_latency_ms = 0.0;
-      client_latency_ms = 0.0 }
+      replicas; scheduler; config = { zero_overhead with trace };
+      net_latency_ms = 0.0; client_latency_ms = 0.0 }
   in
   (engine, Active.create ~engine ~cls ~params ())
 
@@ -69,7 +71,7 @@ let notify_cls =
     ]
 
 let test_notify_fifo_order () =
-  let engine, system = build ~scheduler:"mat" notify_cls in
+  let engine, system = build ~scheduler:"mat" ~trace:true notify_cls in
   List.iteri
     (fun i meth ->
       Active.submit system ~client:0 ~client_req:i ~meth ~args:[||]
@@ -93,7 +95,7 @@ let test_notify_fifo_order () =
 (* The MAT rule: a notified waiter resumes with ex-primary priority, before
    plain secondaries blocked on locks. *)
 let test_mat_waiter_priority () =
-  let engine, system = build ~scheduler:"mat" notify_cls in
+  let engine, system = build ~scheduler:"mat" ~trace:true notify_cls in
   List.iteri
     (fun i meth ->
       Active.submit system ~client:0 ~client_req:i ~meth ~args:[||]
@@ -245,7 +247,7 @@ let reentry_cls =
     ]
 
 let reentry_order scheduler =
-  let engine, system = build ~scheduler reentry_cls in
+  let engine, system = build ~scheduler ~trace:true reentry_cls in
   List.iteri
     (fun i meth ->
       Active.submit system ~client:0 ~client_req:i ~meth ~args:[||]

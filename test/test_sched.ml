@@ -25,13 +25,14 @@ let scenario_cls =
 
 (* Build a system, submit the given requests at t=0, run to completion and
    return (makespan, system).  Zero scheduling overheads keep the arithmetic
-   of the assertions exact. *)
-let run_requests ?(replicas = 1) ~scheduler reqs =
+   of the assertions exact.  Tests that read [Trace.events] pass
+   [~trace:true] so the replicas retain the event list. *)
+let run_requests ?(replicas = 1) ?(trace = false) ~scheduler reqs =
   let engine = Engine.create () in
   let config =
     { Detmt_runtime.Config.default with
       lock_overhead_ms = 0.0; bookkeeping_overhead_ms = 0.0;
-      reply_build_ms = 0.0 }
+      reply_build_ms = 0.0; trace }
   in
   let params =
     { Active.default_params with
@@ -125,7 +126,9 @@ let test_pmat_serialises_conflicts () =
   feq "conflicting locks serialise" 20.0 makespan
 
 let test_pmat_conflict_order_is_queue_order () =
-  let _, system = run_requests ~scheduler:"pmat" [ locked 5; locked 5 ] in
+  let _, system =
+    run_requests ~trace:true ~scheduler:"pmat" [ locked 5; locked 5 ]
+  in
   match Active.replicas system with
   | [ r ] ->
     let locks =
@@ -267,7 +270,7 @@ let test_lsa_leader_broadcasts_grants () =
 
 let test_lsa_followers_apply_leader_order () =
   let _, system =
-    run_requests ~replicas:3 ~scheduler:"lsa"
+    run_requests ~replicas:3 ~trace:true ~scheduler:"lsa"
       [ locked 7; locked 7; locked 7 ]
   in
   let owners r =

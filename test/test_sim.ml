@@ -468,10 +468,16 @@ let test_trace_fingerprint_equal_for_equal () =
   Alcotest.check b "equal traces, equal fingerprints" true (mk () = mk ())
 
 let test_trace_disabled () =
-  let t = Trace.create () in
-  Trace.set_enabled t false;
-  Trace.record t (Trace.Thread_end { tid = 1 });
-  Alcotest.(check int) "nothing recorded when disabled" 0 (Trace.length t)
+  let kept = Trace.create () and hashed = Trace.create ~retain:false () in
+  List.iter
+    (fun t -> Trace.record t (Trace.Thread_end { tid = 1 }))
+    [ kept; hashed ];
+  Alcotest.(check int) "no event list when not retained" 0
+    (List.length (Trace.events hashed));
+  Alcotest.(check int) "event list when retained" 1
+    (List.length (Trace.events kept));
+  Alcotest.check b "hash folded either way" true
+    (Trace.fingerprint kept = Trace.fingerprint hashed)
 
 (* ---------------------------- properties --------------------------- *)
 
