@@ -2,82 +2,47 @@
 
    One spelling per concept — [--scheduler], [--workload], [--seed],
    [--shards], [-o]/[--output] — so flags read the same on [run], [bench],
-   [chaos], [trace], [fingerprint] and [shard].  The historical one-letter
-   spellings ([-s], [-w], [-c], [-n], [-r]) keep working as deprecated
-   aliases: they are merged behind the primary flag, listed in their own
-   man-page section, and warn when used. *)
+   [chaos], [trace], [fingerprint] and [shard]. *)
 
 open Cmdliner
-
-let deprecated_section = "DEPRECATED ALIASES"
-
-(* A primary long flag plus a deprecated legacy alias, merged into one
-   value.  An explicit alias wins only when the primary flag is absent. *)
-let with_alias c ~default ~name ~alias ~docv ~doc =
-  let primary =
-    Arg.(value & opt (some c) None & info [ name ] ~docv ~doc)
-  in
-  let legacy =
-    Arg.(
-      value
-      & opt (some c) None
-      & info [ alias ]
-          ~deprecated:(Printf.sprintf "use --%s instead" name)
-          ~docs:deprecated_section ~docv
-          ~doc:(Printf.sprintf "Deprecated alias of $(b,--%s)." name))
-  in
-  Term.(
-    const (fun p l ->
-        match (p, l) with Some v, _ | None, Some v -> v | None, None -> default)
-    $ primary $ legacy)
-
-(* The repeatable variant (fingerprint and chaos take several schedulers or
-   workloads); primary and alias occurrences concatenate. *)
-let with_alias_all c ~name ~alias ~docv ~doc =
-  let primary = Arg.(value & opt_all c [] & info [ name ] ~docv ~doc) in
-  let legacy =
-    Arg.(
-      value
-      & opt_all c []
-      & info [ alias ]
-          ~deprecated:(Printf.sprintf "use --%s instead" name)
-          ~docs:deprecated_section ~docv
-          ~doc:(Printf.sprintf "Deprecated alias of $(b,--%s)." name))
-  in
-  Term.(const (fun p l -> p @ l) $ primary $ legacy)
 
 let scheduler_names =
   List.map (fun s -> s.Detmt.Registry.name) Detmt.Registry.all
 
 let scheduler =
-  with_alias Arg.string ~default:"mat" ~name:"scheduler" ~alias:"s"
-    ~docv:"NAME"
-    ~doc:("Scheduler to use: " ^ String.concat ", " scheduler_names ^ ".")
+  Arg.(
+    value & opt string "mat"
+    & info [ "scheduler" ] ~docv:"NAME"
+        ~doc:("Scheduler to use: " ^ String.concat ", " scheduler_names ^ "."))
 
-let schedulers_all ~doc = with_alias_all Arg.string ~name:"scheduler" ~alias:"s" ~docv:"NAME" ~doc
+let schedulers_all ~doc =
+  Arg.(value & opt_all string [] & info [ "scheduler" ] ~docv:"NAME" ~doc)
 
 let workload_doc =
   "Workload: figure1 (the paper's benchmark), compute-heavy, disjoint, \
    tail, prodcons, sharded (partitionable object space)."
 
 let workload =
-  with_alias Arg.string ~default:"figure1" ~name:"workload" ~alias:"w"
-    ~docv:"NAME" ~doc:workload_doc
+  Arg.(
+    value & opt string "figure1"
+    & info [ "workload" ] ~docv:"NAME" ~doc:workload_doc)
 
 let workloads_all ~doc =
-  with_alias_all Arg.string ~name:"workload" ~alias:"w" ~docv:"NAME" ~doc
+  Arg.(value & opt_all string [] & info [ "workload" ] ~docv:"NAME" ~doc)
 
 let clients =
-  with_alias Arg.int ~default:8 ~name:"clients" ~alias:"c" ~docv:"N"
-    ~doc:"Number of closed-loop clients."
+  Arg.(
+    value & opt int 8
+    & info [ "clients" ] ~docv:"N" ~doc:"Number of closed-loop clients.")
 
 let requests =
-  with_alias Arg.int ~default:10 ~name:"requests" ~alias:"n" ~docv:"N"
-    ~doc:"Requests per client."
+  Arg.(
+    value & opt int 10 & info [ "requests" ] ~docv:"N" ~doc:"Requests per client.")
 
 let replicas =
-  with_alias Arg.int ~default:3 ~name:"replicas" ~alias:"r" ~docv:"N"
-    ~doc:"Replica-group size (per shard)."
+  Arg.(
+    value & opt int 3
+    & info [ "replicas" ] ~docv:"N" ~doc:"Replica-group size (per shard).")
 
 let seed =
   Arg.(

@@ -1,11 +1,11 @@
 (* detmt-cli: command-line driver for the deterministic-multithreading
    experiments.
 
-   Every figure of the paper is a subcommand; [run] executes a single
-   configuration with full control over the parameters, and [schedulers]
-   lists the available decision modules.  All subcommands share the flag
-   vocabulary of {!Cli_args}: [--scheduler], [--workload], [--seed],
-   [--shards], [-o]. *)
+   [bench] runs any experiment of {!Detmt.Experiment.all} (every figure of
+   the paper and every derived grid); [run] executes a single configuration
+   with full control over the parameters, and [schedulers] lists the
+   available decision modules.  All subcommands share the flag vocabulary of
+   {!Cli_args}: [--scheduler], [--workload], [--seed], [--shards], [-o]. *)
 
 open Cmdliner
 
@@ -82,9 +82,13 @@ let run_cmd =
       { Detmt.Active.default_params with
         scheduler; workers; replicas; net_latency_ms = latency }
     in
+    (* The recorder is read-only: the run is the same with or without it. *)
+    let obs =
+      if histogram then Detmt.Recorder.create () else Detmt.Recorder.disabled
+    in
     let result =
       Detmt.Experiment.run_workload ~seed:(Int64.of_int seed) ~params
-        ~requests_per_client:requests ~scheduler ~clients ~cls ~gen ()
+        ~requests_per_client:requests ~obs ~scheduler ~clients ~cls ~gen ()
     in
     Format.printf "scheduler:    %s@." result.Detmt.Experiment.scheduler;
     Format.printf "workload:     %s@." workload;
@@ -101,23 +105,15 @@ let run_cmd =
             result.message_kinds));
     Format.printf "cpu busy:     %.1f ms (replica 0)@." result.cpu_busy_ms;
     Format.printf "consistent:   %b@." result.consistent;
-    if histogram then begin
-      (* Re-run with the same seed to collect the samples (run_workload
-         reports a summary only); identical by determinism. *)
-      let engine = Detmt.Engine.create () in
-      let system = Detmt.Active.create ~engine ~cls ~params () in
-      Detmt.Client.run_clients ~engine ~system ~clients
-        ~requests_per_client:requests ~gen ~seed:(Int64.of_int seed) ();
-      let times = Detmt.Active.response_times system in
-      let hi = Detmt.Summary.max times +. 1e-6 in
-      let h = Detmt.Histogram.create ~lo:0.0 ~hi ~buckets:16 in
+    match
+      Detmt.Metrics.view (Detmt.Recorder.metrics obs) "active.response_ms"
+    with
+    | Some (Detmt.Metrics.Hist_view h) ->
+      Format.printf "@.response-time histogram (ms): %a@." Detmt.Hdr.pp h;
       List.iter
-        (fun t -> Detmt.Histogram.add h t)
-        (List.init (Detmt.Summary.count times) (fun i ->
-             Detmt.Summary.quantile times
-               (float_of_int i /. float_of_int (Detmt.Summary.count times))));
-      Format.printf "@.response-time histogram (ms):@.%a" Detmt.Histogram.pp h
-    end
+        (fun (le, n) -> Format.printf "  <= %9.3f  %d@." le n)
+        (Detmt.Hdr.cumulative h)
+    | Some _ | None -> ()
   in
   let term =
     Term.(
@@ -127,31 +123,6 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one scheduler and report.")
     term
-
-(* --------------------------- experiments ---------------------------- *)
-
-let table_cmd name doc make =
-  let term = Term.(const (fun csv -> emit csv (make ())) $ csv_flag) in
-  Cmd.v (Cmd.info name ~doc) term
-
-let fig1_cmd =
-  let run csv chart =
-    let table, series = Detmt.Experiment.figure1 () in
-    emit csv table;
-    if chart then Detmt.Series.chart Format.std_formatter series
-  in
-  let chart_flag =
-    Arg.(value & flag & info [ "chart" ] ~doc:"Also draw the ASCII chart.")
-  in
-  Cmd.v
-    (Cmd.info "fig1"
-       ~doc:"Figure 1: response time vs clients for all five algorithms.")
-    Term.(const run $ csv_flag $ chart_flag)
-
-let fig4_cmd =
-  Cmd.v
-    (Cmd.info "fig4" ~doc:"Figure 4: the code transformation example.")
-    Term.(const (fun () -> print_string (Detmt.Experiment.figure4 ())) $ const ())
 
 let schedulers_cmd =
   let show () =
@@ -1409,40 +1380,58 @@ let reshard_cmd =
 (* ------------------------------ bench ------------------------------- *)
 
 let bench_cmd =
-  let run name shards clients seed scheduler workers json csv out =
-    match name with
-    | "shard" ->
-      let shards_list =
-        List.sort_uniq compare
-          (max 1 shards :: List.filter (fun s -> s < shards) [ 1; 2; 4; 8 ])
-      in
-      let rows =
-        Detmt.Experiment.shard_sweep ~seed:(Int64.of_int seed) ~shards_list
-          ?clients_list:(Option.map (fun c -> [ c ]) clients)
-          ~scheduler ~workers ()
-      in
-      emit csv (Detmt.Experiment.shard_table rows);
-      if json then begin
-        let path = Option.value out ~default:"BENCH_shard.json" in
-        write_out (Some path)
-          (Detmt.Json.to_string (Detmt.Experiment.shard_json rows) ^ "\n")
-      end
-    | "elastic" ->
-      let rows =
-        Detmt.Experiment.elastic_sweep ~seed:(Int64.of_int seed)
-          ?clients_list:(Option.map (fun c -> [ c ]) clients)
-          ~scheduler ()
-      in
-      emit csv (Detmt.Experiment.elastic_table rows);
-      if json then begin
-        let path = Option.value out ~default:"BENCH_elastic.json" in
-        write_out (Some path)
-          (Detmt.Json.to_string (Detmt.Experiment.elastic_json rows) ^ "\n")
-      end
-    | other ->
-      Format.eprintf
-        "unknown bench experiment %S (available: shard, elastic)@." other;
+  let run name seed clients shards json csv out =
+    let module E = Detmt.Experiment in
+    let specs =
+      match name with
+      | "list" ->
+        List.iter
+          (fun s -> Format.printf "%-13s %s@." s.E.name s.E.heading)
+          E.all;
+        exit 0
+      | "all" -> E.all
+      | name -> (
+        match E.find name with
+        | Some s -> [ s ]
+        | None ->
+          Format.eprintf "unknown experiment %S; try 'list'@." name;
+          exit 2)
+    in
+    let o = { E.seed; clients; shards } in
+    List.iter
+      (fun s ->
+        match E.unsupported s o with
+        | [] -> ()
+        | flags ->
+          Format.eprintf "bench %s: no axis for %s@." s.E.name
+            (String.concat ", " flags);
+          exit 2)
+      specs;
+    if out <> None && List.length specs > 1 then begin
+      Format.eprintf "bench: -o needs a single experiment@.";
       exit 2
+    end;
+    List.iter
+      (fun s ->
+        Format.printf
+          "@.==[ %s ]=====================================================@.@."
+          s.E.heading;
+        let r = s.E.run o in
+        List.iter
+          (function
+            | E.Table t -> emit csv t
+            | E.Text text -> Format.printf "%s%!" text)
+          r.E.blocks;
+        (match r.E.json with
+        | Some payload when json ->
+          let path =
+            Option.value out ~default:(Printf.sprintf "BENCH_%s.json" s.E.name)
+          in
+          write_out (Some path)
+            (Detmt.Json.to_string (Lazy.force payload) ^ "\n")
+        | Some _ | None -> ());
+        if s.E.expected <> "" then Format.printf "@.%s@." s.E.expected)
+      specs
   in
   let name_arg =
     Arg.(
@@ -1450,40 +1439,45 @@ let bench_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"EXPERIMENT"
           ~doc:
-            "Benchmark experiment to run: shard (the scaling grid) or \
-             elastic (autoscaling vs static shard counts).")
+            "Experiment to run, $(b,all), or $(b,list) to print the names.")
+  in
+  let override name ~docv ~doc =
+    Arg.(value & opt (some int) None & info [ name ] ~docv ~doc)
+  in
+  let seed_arg =
+    override "seed" ~docv:"SEED"
+      ~doc:"Master random seed (experiments with a seed axis)."
+  in
+  let clients_arg =
+    override "clients" ~docv:"N"
+      ~doc:
+        "Run the grid at this one client count (experiments with a clients \
+         axis)."
   in
   let shards_arg =
-    Cli_args.shards ~default:8
+    override "shards" ~docv:"N"
       ~doc:
-        "Highest shard count to sweep; the grid runs the powers of two up \
-         to N (plus N itself)."
-  in
-  let bench_clients_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "clients" ] ~docv:"N"
-          ~doc:
-            "Restrict the sweep to one client count (default: 64, 256 and \
-             1024).")
+        "Highest shard count to sweep: the powers of two up to N, plus N \
+         (experiments with a shards axis)."
   in
   let json_flag =
     Arg.(
       value & flag
       & info [ "json" ]
           ~doc:
-            "Also write the rows to BENCH_<experiment>.json (or the \
-             $(b,-o) path).")
+            "Also write each experiment's payload to BENCH_<experiment>.json \
+             (or the $(b,-o) path).")
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run a benchmark experiment grid and print its table; with \
-          $(b,--json), write the machine-readable rows next to it.")
+         "Run an experiment — a paper figure or a derived grid — and print \
+          its heading, tables and expected shape; with $(b,--json), write \
+          the machine-readable payload next to it.  An override the \
+          experiment has no axis for exits 2.")
     Term.(
-      const run $ name_arg $ shards_arg $ bench_clients_arg $ seed_arg
-      $ scheduler_arg $ workers_arg $ json_flag $ csv_flag $ output_arg)
+      const run $ name_arg $ seed_arg $ clients_arg $ shards_arg $ json_flag
+      $ csv_flag $ output_arg)
 
 let default =
   Term.(ret (const (fun () -> `Help (`Pager, None)) $ const ()))
@@ -1496,38 +1490,7 @@ let () =
          experiment driver."
   in
   let cmds =
-    [ run_cmd; fig1_cmd;
-      table_cmd "fig1b" "Figure 1 ablation: compute-heavy variant."
-        Detmt.Experiment.figure1b;
-      table_cmd "fig2" "Figure 2: last-lock hand-off." (fun () ->
-          Detmt.Experiment.figure2 ());
-      table_cmd "fig3" "Figure 3: non-conflicting mutexes." (fun () ->
-          Detmt.Experiment.figure3 ());
-      fig4_cmd;
-      table_cmd "wan" "LSA vs MAT under growing network latency." (fun () ->
-          Detmt.Experiment.wan ());
-      table_cmd "failover" "Leader-failure take-over time." (fun () ->
-          Detmt.Experiment.failover ());
-      table_cmd "pds" "PDS batch-size and dummy-message sweep." (fun () ->
-          Detmt.Experiment.pds_batch ());
-      table_cmd "overhead" "Bookkeeping-overhead crossover (section 5)."
-        (fun () -> Detmt.Experiment.overhead ());
-      table_cmd "prodcons" "Producer/consumer over condition variables."
-        (fun () -> Detmt.Experiment.prodcons ());
-      table_cmd "determinism" "Replica-consistency matrix." (fun () ->
-          Detmt.Experiment.determinism ());
-      table_cmd "model" "Analytic model vs simulator (section 5)." (fun () ->
-          Detmt.Experiment.model ());
-      Cmd.v
-        (Cmd.info "interference"
-           ~doc:"Static interference analysis (section 5).")
-        Term.(
-          const (fun () ->
-              Detmt.Interference.pp_report Format.std_formatter
-                (Detmt.Experiment.interference ()))
-          $ const ());
-      table_cmd "saturation" "Open-loop load sweep (saturation points)."
-        (fun () -> Detmt.Experiment.saturation ());
+    [ run_cmd;
       trace_cmd; metrics_cmd; profile_cmd; top_cmd; chaos_cmd;
       fingerprint_cmd; explore_cmd;
       shard_cmd; reshard_cmd;

@@ -1,10 +1,11 @@
-(** One-call experiment runners.
+(** One-call experiment runners and the experiment table.
 
     Each paper artefact (figures 1–4, the section 3.5 comparison claims, and
-    the section 5 overhead question) has a function here that builds the
-    whole simulated system, runs it, and returns printable tables — the same
-    rows/series the paper reports.  The benchmark harness and the CLI are
-    thin wrappers over this module. *)
+    the section 5 overhead question) and each derived grid has a runner here
+    that builds the whole simulated system, runs it, and returns printable
+    tables — the same rows/series the paper reports.  {!all} lists every
+    experiment once, with its heading, expected-shape note and BENCH JSON
+    payload; [detmt-cli bench] prints and writes them. *)
 
 type run_result = {
   scheduler : string;
@@ -79,13 +80,6 @@ val wan :
   ?latencies_ms:float list -> ?clients:int -> unit -> Detmt_stats.Table.t
 (** E5: LSA vs MAT under growing network latency. *)
 
-type failover_row = {
-  f_scheduler : string;
-  f_takeover_ms : float;
-  f_replies_after : int;
-  f_consistent_after : bool;
-}
-
 val failover : ?schedulers:string list -> unit -> Detmt_stats.Table.t
 (** E6: leader-failure take-over time. *)
 
@@ -121,12 +115,6 @@ val prodcons :
 val determinism :
   ?schedulers:string list -> unit -> Detmt_stats.Table.t
 (** E10: replica-consistency matrix; the freefall baseline must diverge. *)
-
-val costed : (unit -> 'a) -> 'a * float * float * float
-(** [costed f] runs [f] and returns [(result, wall_ms, minor_words,
-    major_words)] — host wall clock and {!Gc.quick_stat} allocation deltas
-    around the call.  Host-side measurements only; never a virtual-time
-    input. *)
 
 type shard_row = {
   s_shards : int;
@@ -167,192 +155,72 @@ val run_shard :
     completion.  [workers] (default 1) is the per-group simulated pool
     width, legal only for parallel schedulers. *)
 
-val shard_sweep :
-  ?seed:int64 ->
-  ?shards_list:int list ->
-  ?clients_list:int list ->
-  ?cross_ratios:float list ->
-  ?scheduler:string ->
-  ?workers:int ->
-  ?requests_per_client:int ->
-  ?batching:Detmt_gcs.Totem.batching ->
-  unit ->
-  shard_row list
-(** E14: the scaling grid — shard count x client count x cross-shard
-    ratio (defaults: shards 1/2/4/8, 64/256/1024 clients, 0%% and 10%%
-    transfers, MAT inside each group).  Row order is clients-major, then
-    cross ratio, then shard count. *)
-
-val shard_table : shard_row list -> Detmt_stats.Table.t
-(** Printable form; the speedup column is relative to the 1-shard row with
-    the same clients and cross ratio. *)
-
-val shard_json : shard_row list -> Detmt_obs.Json.t
-(** The BENCH_shard.json payload: one object per row, with the speedup and
-    the run fingerprint included. *)
-
-(** {2 E16 — elastic reconfiguration} *)
-
-type elastic_mode =
-  | Static of int  (** a fixed group count for the whole run *)
-  | Autoscale of Detmt_replication.Reconfig.policy
-      (** start at one group; the controller splits / merges / hot-swaps *)
-
-type elastic_row = {
-  e_mode : string;  (** ["static-N"] or ["autoscale"] *)
-  e_clients : int;
-  e_expected : int;
-  e_replies : int;
-  e_groups_final : int;
-  e_epoch : int;  (** reconfiguration transitions applied *)
-  e_splits : int;
-  e_merges : int;
-  e_swaps : int;
-  e_held : int;  (** submissions held behind a reconfiguration barrier *)
-  e_cross_group : int;
-  e_mean_response_ms : float;
-  e_p95_response_ms : float;
-  e_throughput_per_s : float;
-  e_states_agree : bool;
-  e_epochs_agree : bool;
-  e_fingerprint : int64;  (** {!Detmt_replication.Reconfig.fingerprint} *)
-  e_duration_ms : float;
-  e_wall_ms : float;  (** host wall clock around the run *)
-  e_minor_words : float;  (** GC words allocated by the run *)
-  e_major_words : float;
-  e_series_points : int;  (** windowed-series samples recorded *)
-  e_peak_pending : float;  (** peak engine queue depth observed *)
-}
-
-val run_elastic :
-  ?seed:int64 ->
-  ?scheduler:string ->
-  ?requests_per_client:int ->
-  ?obs:Detmt_obs.Recorder.t ->
-  ?workload:Detmt_workload.Hotspot.params ->
-  mode:elastic_mode ->
-  clients:int ->
-  unit ->
-  elastic_row
-(** One run of the Zipf-hotspot workload over {!Detmt_replication.Reconfig}
-    to completion. *)
+(** {2 Workload settings shared with the benchmark} *)
 
 val elastic_bench_policy : Detmt_replication.Reconfig.policy
-(** The grid's controller setting: 0.5 ms ticks, split above queue depth 4,
-    never merge, up to 16 live groups — twice the static grid's ceiling. *)
+(** The E16 grid's controller setting: 0.5 ms ticks, split above queue
+    depth 4, never merge, up to 16 live groups — twice the static grid's
+    ceiling. *)
 
 val elastic_bench_workload : Detmt_workload.Hotspot.params
 (** {!Detmt_workload.Hotspot.default} with the hotspot drifting every 8
     requests, so a 16-request run sees the zone move twice. *)
 
-val elastic_sweep :
-  ?seed:int64 ->
-  ?static_shards:int list ->
-  ?clients_list:int list ->
-  ?scheduler:string ->
-  ?requests_per_client:int ->
-  ?policy:Detmt_replication.Reconfig.policy ->
-  ?workload:Detmt_workload.Hotspot.params ->
-  unit ->
-  elastic_row list
-(** E16: per client count (default 256 and 1024), every static shard count
-    (default 1/2/4/8) followed by the autoscaling run under [policy]
-    (default {!elastic_bench_policy}; 16 requests per client over
-    {!elastic_bench_workload}). *)
-
-val elastic_table : elastic_row list -> Detmt_stats.Table.t
-(** Printable form; the [vs best static] column is the best static p95 of
-    the same client count divided by the autoscaler's p95 (above 1.00x the
-    autoscaler wins). *)
-
-val elastic_json : elastic_row list -> Detmt_obs.Json.t
-(** The BENCH_elastic.json payload: one object per row, including
-    [p95_speedup_vs_best_static] on the autoscale rows. *)
-
-(** {2 E19 — conflict-graph parallel scheduling} *)
-
-type parallel_row = {
-  pl_scheduler : string;
-  pl_workers : int;
-  pl_clients : int;
-  pl_expected : int;
-  pl_replies : int;
-  pl_mean_response_ms : float;
-  pl_p95_response_ms : float;
-  pl_throughput_per_s : float;
-  pl_consistent : bool;
-  pl_duration_ms : float;
-}
-
-val parallel_workload : Detmt_workload.Figure1.params
-(** The low-conflict grid setting: {!Detmt_workload.Figure1.default} with
-    4096 mutexes (so two requests almost never share one) and no nested
-    calls (so pMAT's announcement gating is pure overhead). *)
-
-val parallel_pool :
-  ?seed:int64 ->
-  ?clients_list:int list ->
-  ?workers_list:int list ->
-  ?requests_per_client:int ->
-  ?workload:Detmt_workload.Figure1.params ->
-  unit ->
-  parallel_row list
-(** E19: per client count (default 64/256/1024), the serial pMAT baseline
-    followed by cgs and pcgs at every pool width (default 1/2/4/8).  The
-    reproduction target: on this workload cgs at 4 workers beats pMAT at
-    1024 clients on mean response time. *)
-
-val parallel_table : parallel_row list -> Detmt_stats.Table.t
-
-val parallel_json : parallel_row list -> Detmt_obs.Json.t
-(** The [parallel] section of BENCH_fig1.json: one object per grid row. *)
-
-(** {2 E20 — deterministic workspaces} *)
-
 val workspace_workload : Detmt_workload.Sharded.params
-(** The misprediction setting: {!Detmt_workload.Sharded.default} with no
-    transfers and [opaque_ratio = 0.25] — a quarter of the requests
+(** The E20a misprediction setting: {!Detmt_workload.Sharded.default} with
+    no transfers and [opaque_ratio = 0.25] — a quarter of the requests
     synchronise through a local the prediction analysis cannot resolve,
     so their conflict class is [Top]. *)
 
-val workspace_pool :
-  ?seed:int64 ->
-  ?clients_list:int list ->
-  ?workers_list:int list ->
-  ?requests_per_client:int ->
-  ?workload:Detmt_workload.Sharded.params ->
-  unit ->
-  parallel_row list
-(** E20a: per client count (default 64/256), cgs, cgs+ws and wss at every
-    pool width (default 1/4).  The reproduction target: cgs+ws at 4
-    workers beats plain cgs at 4 workers on mean response time, because
-    the workspace absorbs the [Top]-class serialisation. *)
+(** {2 BENCH JSON} *)
 
-val workspace_table : parallel_row list -> Detmt_stats.Table.t
+val median_by_column : Detmt_stats.Table.t -> (string * float) list
+(** Median of each column's numeric cells, in column order.  The first
+    (label) column is excluded, non-numeric cells are skipped, a column
+    with no numeric cell is dropped, and an even count takes the upper
+    median.  A table's BENCH JSON is its [title], [columns], [rows] (cells
+    as strings) and these medians as [median_by_column]. *)
 
-val workspace_json : parallel_row list -> Detmt_obs.Json.t
-(** The [parallel.opaque] sub-section of BENCH_fig1.json. *)
+(** {2 The experiment table} *)
 
-val tail_release_workload : Detmt_workload.Tail_compute.params
-(** The early-release setting: {!Detmt_workload.Tail_compute.default} — a
-    1 ms critical section on one shared mutex followed by a 20 ms
-    lock-free tail, so a scheduler that holds the static class until
-    request termination serialises the tails. *)
+type overrides = {
+  seed : int option;
+  clients : int option;
+  shards : int option;
+}
+(** The grid axes [detmt-cli bench] exposes; [None] keeps the experiment's
+    default. *)
 
-val tail_release_pool :
-  ?seed:int64 ->
-  ?clients_list:int list ->
-  ?workers_list:int list ->
-  ?requests_per_client:int ->
-  ?workload:Detmt_workload.Tail_compute.params ->
-  unit ->
-  parallel_row list
-(** E20b: per client count (default 16/64), cgs and pcgs at every pool
-    width (default 1/4).  The reproduction target: pcgs at 4 workers
-    beats cgs at 4 workers, demonstrating that early release (not just
-    graph dispatch) is what overlaps the tails. *)
+type axis = Seed | Clients | Shards
 
-val tail_release_table : parallel_row list -> Detmt_stats.Table.t
+type block =
+  | Table of Detmt_stats.Table.t
+  | Text of string  (** printed verbatim *)
 
-val tail_release_json : parallel_row list -> Detmt_obs.Json.t
-(** The [tail_release] section of BENCH_fig1.json. *)
+type output = {
+  blocks : block list;  (** in print order *)
+  json : Detmt_obs.Json.t Lazy.t option;
+      (** the BENCH_<name>.json payload, led by a [schema_version] field
+          (3); forced only when asked for *)
+}
+
+type spec = {
+  name : string;
+  heading : string;
+  expected : string;  (** the expected-shape note; may be empty *)
+  axes : axis list;  (** the overrides [run] honours *)
+  run : overrides -> output;
+}
+
+val all : spec list
+(** Every experiment, once: fig1 (with the E19/E20 riders and the
+    per-scheduler metrics), fig1b, fig2, fig3, fig4, wan, failover, pds,
+    overhead, prodcons, determinism, saturation, model, shard (E14),
+    elastic (E16), workspace (E20), interference (E12) and engine (E18). *)
+
+val find : string -> spec option
+
+val unsupported : spec -> overrides -> string list
+(** The flags ([--seed], [--clients], [--shards]) of the overrides that
+    are set but outside [spec.axes]; [detmt-cli bench] rejects a non-empty
+    list. *)

@@ -9,10 +9,9 @@
    map keyed by an integer (arrival sequence or tid), so insert/remove/min
    are O(log n) and iteration is ascending by construction.
 
-   The [Reference] sub-module preserves the replaced scan-based
-   implementation behind the same signature: the unit suite checks the two
-   agree operation-for-operation, and the bench compares their dispatch
-   cost at high thread counts. *)
+   The replaced scan-based implementation lives on in
+   test/candidate_index_reference.ml behind the same signature: the unit
+   suite checks the two agree operation-for-operation. *)
 
 module M = Map.Make (Int)
 
@@ -65,43 +64,3 @@ let fold t ~init ~f = M.fold f t.map init
 let to_list t = M.bindings t.map
 
 let keys t = List.map fst (M.bindings t.map)
-
-(* The pre-refactor grant path, kept verbatim in spirit: candidates in a
-   hash table, every query folds and sorts.  Only tests and the bench use
-   it. *)
-module Reference = struct
-  type 'a t = (int, 'a) Hashtbl.t
-
-  let create () : 'a t = Hashtbl.create 64
-
-  let clear = Hashtbl.reset
-
-  let cardinal = Hashtbl.length
-
-  let is_empty t = Hashtbl.length t = 0
-
-  let mem = Hashtbl.mem
-
-  let add t ~key v = Hashtbl.replace t key v
-
-  let remove = Hashtbl.remove
-
-  let find t key = Hashtbl.find_opt t key
-
-  let sorted t =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let min t = match sorted t with [] -> None | kv :: _ -> Some kv
-
-  let find_first t ~f = List.find_opt (fun (k, v) -> f k v) (sorted t)
-
-  let iter t ~f = List.iter (fun (k, v) -> f k v) (sorted t)
-
-  let fold t ~init ~f =
-    List.fold_left (fun acc (k, v) -> f k v acc) init (sorted t)
-
-  let to_list = sorted
-
-  let keys t = List.map fst (sorted t)
-end

@@ -41,38 +41,3 @@ val to_list : 'a t -> (int * 'a) list
 (** Ascending key order. *)
 
 val keys : 'a t -> int list
-
-(** The replaced scan-based implementation (hash table + fold + sort per
-    query), kept behind the same signature for differential unit tests and
-    the bench's indexed-vs-scan dispatch comparison. *)
-module Reference : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val clear : 'a t -> unit
-
-  val cardinal : 'a t -> int
-
-  val is_empty : 'a t -> bool
-
-  val mem : 'a t -> int -> bool
-
-  val add : 'a t -> key:int -> 'a -> unit
-
-  val remove : 'a t -> int -> unit
-
-  val find : 'a t -> int -> 'a option
-
-  val min : 'a t -> (int * 'a) option
-
-  val find_first : 'a t -> f:(int -> 'a -> bool) -> (int * 'a) option
-
-  val iter : 'a t -> f:(int -> 'a -> unit) -> unit
-
-  val fold : 'a t -> init:'b -> f:(int -> 'a -> 'b -> 'b) -> 'b
-
-  val to_list : 'a t -> (int * 'a) list
-
-  val keys : 'a t -> int list
-end

@@ -7,8 +7,8 @@
     That stability is what makes the whole simulation deterministic, and the
     wheel preserves it exactly: ticks only decide bucket {e placement}, each
     bucket is sorted on the exact key before it is drained, so the pop
-    stream is bit-identical to a binary heap's ({!Reference}, the replaced
-    implementation, is kept as the differential-fuzz oracle).
+    stream is bit-identical to a binary heap's (the replaced heap is kept
+    in the test suite as the differential-fuzz oracle).
 
     Payloads are non-negative [int]s — the engine's pooled event-slot ids —
     so the steady-state push/pop cycle allocates nothing.
@@ -54,24 +54,3 @@ val peek_time : t -> float
 (** Time of the minimum element, or [infinity] when empty. *)
 
 val clear : t -> unit
-
-(** The binary min-heap this wheel replaced: polymorphic payloads, no push
-    contract.  Tests fuzz it against the wheel; vacated slots are dropped
-    (the old representation leaked the popped entry in [data.(size)]). *)
-module Reference : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val is_empty : 'a t -> bool
-
-  val length : 'a t -> int
-
-  val push : 'a t -> time:float -> seq:int -> 'a -> unit
-
-  val pop : 'a t -> (float * int * 'a) option
-
-  val peek : 'a t -> (float * int * 'a) option
-
-  val clear : 'a t -> unit
-end

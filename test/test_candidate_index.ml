@@ -1,10 +1,11 @@
 (* Unit and differential tests for the ordered candidate index — the
    O(log n) grant-path structure that replaced the decision modules'
-   [Hashtbl.fold … |> List.sort] scans.  The [Reference] submodule is the
-   replaced implementation behind the same signature; every operation
+   [Hashtbl.fold … |> List.sort] scans.  {!Candidate_index_reference} is
+   the replaced implementation behind the same signature; every operation
    sequence must be observationally identical on both. *)
 
 module Ci = Detmt_sched.Candidate_index
+module Ci_ref = Candidate_index_reference
 
 let b = Alcotest.bool
 
@@ -68,28 +69,28 @@ let test_clear () =
 let test_differential_vs_reference () =
   let rng = Detmt_sim.Rng.create 0x1dL in
   let t = Ci.create () in
-  let r = Ci.Reference.create () in
+  let r = Ci_ref.create () in
   for step = 1 to 2000 do
     let key = Detmt_sim.Rng.int rng 50 in
     (match Detmt_sim.Rng.int rng 4 with
     | 0 | 1 ->
       Ci.add t ~key step;
-      Ci.Reference.add r ~key step
+      Ci_ref.add r ~key step
     | 2 ->
       Ci.remove t key;
-      Ci.Reference.remove r key
+      Ci_ref.remove r key
     | _ ->
-      Alcotest.check b "mem agrees" true (Ci.mem t key = Ci.Reference.mem r key));
-    Alcotest.check b "min agrees" true (Ci.min t = Ci.Reference.min r);
+      Alcotest.check b "mem agrees" true (Ci.mem t key = Ci_ref.mem r key));
+    Alcotest.check b "min agrees" true (Ci.min t = Ci_ref.min r);
     Alcotest.(check int)
-      "cardinal agrees" (Ci.Reference.cardinal r) (Ci.cardinal t)
+      "cardinal agrees" (Ci_ref.cardinal r) (Ci.cardinal t)
   done;
   Alcotest.check pl "final contents agree"
-    (List.map (fun (k, v) -> (k, string_of_int v)) (Ci.Reference.to_list r))
+    (List.map (fun (k, v) -> (k, string_of_int v)) (Ci_ref.to_list r))
     (List.map (fun (k, v) -> (k, string_of_int v)) (Ci.to_list t));
   Alcotest.check b "find_first agrees" true
     (Ci.find_first t ~f:(fun k _ -> k mod 3 = 0)
-    = Ci.Reference.find_first r ~f:(fun k _ -> k mod 3 = 0))
+    = Ci_ref.find_first r ~f:(fun k _ -> k mod 3 = 0))
 
 let test_fold_iter_consistent () =
   let t = Ci.create () in

@@ -176,6 +176,56 @@ let test_run_workload_fields () =
   Alcotest.check b "consistent" true r.Detmt.Experiment.consistent;
   Alcotest.check b "cpu was used" true (r.Detmt.Experiment.cpu_busy_ms > 0.0)
 
+(* The experiment table: one entry per experiment, names unique. *)
+let test_all_names () =
+  let names = List.map (fun s -> s.Detmt.Experiment.name) Detmt.Experiment.all in
+  Alcotest.(check int) "unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list string)) "exactly the experiments"
+    (List.sort compare
+       [ "fig1"; "fig1b"; "fig2"; "fig3"; "fig4"; "wan"; "failover"; "pds";
+         "overhead"; "prodcons"; "determinism"; "saturation"; "model";
+         "shard"; "elastic"; "workspace"; "interference"; "engine" ])
+    (List.sort compare names)
+
+let test_median_by_column () =
+  let t = Table.create ~title:"T" ~columns:[ "label"; "odd"; "even"; "text" ] in
+  List.iter (Table.add_row t)
+    [ [ "9"; "3.0"; "10"; "x" ];
+      [ "1"; "1.0"; "40"; "-" ];
+      [ "5"; "2.0"; "-"; "y" ];
+      [ "7"; "-"; "20"; "z" ];
+      [ "3"; "oops"; "30"; "w" ] ];
+  (* "label" is excluded although numeric; "odd" has three numbers (the
+     middle one), "even" four (the upper median); "text" has none. *)
+  Alcotest.(check (list (pair string (float 0.0))))
+    "medians"
+    [ ("odd", 2.0); ("even", 30.0) ]
+    (Detmt.Experiment.median_by_column t)
+
+let test_inapplicable_override () =
+  let spec name =
+    match Detmt.Experiment.find name with
+    | Some s -> s
+    | None -> Alcotest.failf "no experiment %s" name
+  in
+  let o =
+    { Detmt.Experiment.seed = None; clients = None; shards = None }
+  in
+  Alcotest.(check (list string)) "fig4 has no shards axis" [ "--shards" ]
+    (Detmt.Experiment.unsupported (spec "fig4") { o with shards = Some 2 });
+  Alcotest.(check (list string)) "elastic has no shards axis" [ "--shards" ]
+    (Detmt.Experiment.unsupported (spec "elastic")
+       { o with shards = Some 4; clients = Some 64 });
+  Alcotest.(check (list string)) "shard takes all three" []
+    (Detmt.Experiment.unsupported (spec "shard")
+       { seed = Some 7; clients = Some 64; shards = Some 2 });
+  List.iter
+    (fun s ->
+      Alcotest.(check (list string)) (s.Detmt.Experiment.name ^ " defaults") []
+        (Detmt.Experiment.unsupported s o))
+    Detmt.Experiment.all
+
 let suite =
   [ ("figure1 shape", `Quick, test_figure1_shape);
     ("figure1b mat beats sat", `Quick, test_figure1b_mat_beats_sat);
@@ -190,6 +240,9 @@ let suite =
     ("saturation smoke", `Quick, test_saturation_smoke);
     ("interference experiment", `Quick, test_interference_experiment);
     ("model experiment shape", `Quick, test_model_experiment_shape);
+    ("experiment names", `Quick, test_all_names);
+    ("median by column", `Quick, test_median_by_column);
+    ("inapplicable override rejected", `Quick, test_inapplicable_override);
   ]
 
 let () = Alcotest.run "experiment" [ ("experiment", suite) ]

@@ -145,21 +145,21 @@ let test_pqueue_push_contract () =
 
 let test_pqueue_reference_ordering () =
   (* The old polymorphic heap survives as the differential-fuzz oracle. *)
-  let q = Pqueue.Reference.create () in
-  Pqueue.Reference.push q ~time:3.0 ~seq:0 "c";
-  Pqueue.Reference.push q ~time:1.0 ~seq:1 "a";
-  Pqueue.Reference.push q ~time:2.0 ~seq:2 "b";
+  let q = Pqueue_reference.create () in
+  Pqueue_reference.push q ~time:3.0 ~seq:0 "c";
+  Pqueue_reference.push q ~time:1.0 ~seq:1 "a";
+  Pqueue_reference.push q ~time:2.0 ~seq:2 "b";
   let pop () =
-    match Pqueue.Reference.pop q with Some (_, _, v) -> v | None -> "?"
+    match Pqueue_reference.pop q with Some (_, _, v) -> v | None -> "?"
   in
   let p1 = pop () in
   let p2 = pop () in
   let p3 = pop () in
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] [ p1; p2; p3 ];
-  Alcotest.check b "drained" true (Pqueue.Reference.is_empty q);
-  Pqueue.Reference.push q ~time:5.0 ~seq:3 "d";
-  Pqueue.Reference.clear q;
-  Alcotest.(check int) "clear empties" 0 (Pqueue.Reference.length q)
+  Alcotest.check b "drained" true (Pqueue_reference.is_empty q);
+  Pqueue_reference.push q ~time:5.0 ~seq:3 "d";
+  Pqueue_reference.clear q;
+  Alcotest.(check int) "clear empties" 0 (Pqueue_reference.length q)
 
 (* Differential fuzz: the timing wheel must produce a pop/peek stream
    bit-identical to the reference binary heap under random interleavings of
@@ -172,7 +172,7 @@ let test_pqueue_differential_fuzz () =
     (fun g ->
       let rng = Rng.create 424242L in
       let q = Pqueue.create ~granularity_ms:g () in
-      let r = Pqueue.Reference.create () in
+      let r = Pqueue_reference.create () in
       let seq = ref 0 in
       let last_pop = ref 0.0 in
       for _ = 1 to 5000 do
@@ -187,11 +187,11 @@ let test_pqueue_differential_fuzz () =
             | _ -> !last_pop +. 100_000.0 +. Rng.float rng 1e6 (* overflow *)
           in
           Pqueue.push q ~time:t ~seq:!seq !seq;
-          Pqueue.Reference.push r ~time:t ~seq:!seq !seq;
+          Pqueue_reference.push r ~time:t ~seq:!seq !seq;
           incr seq
         end
         else if op < 9 then begin
-          match (Pqueue.pop q, Pqueue.Reference.pop r) with
+          match (Pqueue.pop q, Pqueue_reference.pop r) with
           | None, None -> ()
           | Some (t1, s1, v1), Some (t2, s2, v2) ->
             if not (t1 = t2 && s1 = s2 && v1 = v2) then
@@ -202,7 +202,7 @@ let test_pqueue_differential_fuzz () =
             Alcotest.fail "pop emptiness mismatch"
         end
         else begin
-          match (Pqueue.peek q, Pqueue.Reference.peek r) with
+          match (Pqueue.peek q, Pqueue_reference.peek r) with
           | None, None -> ()
           | Some (t1, s1, v1), Some (t2, s2, v2) ->
             if not (t1 = t2 && s1 = s2 && v1 = v2) then
@@ -212,14 +212,14 @@ let test_pqueue_differential_fuzz () =
         end
       done;
       let rec drain () =
-        match (Pqueue.pop q, Pqueue.Reference.pop r) with
+        match (Pqueue.pop q, Pqueue_reference.pop r) with
         | None, None -> ()
         | Some a, Some b' when a = b' -> drain ()
         | _ -> Alcotest.failf "drain mismatch (g=%g)" g
       in
       drain ();
       Alcotest.check b "both empty" true
-        (Pqueue.is_empty q && Pqueue.Reference.is_empty r))
+        (Pqueue.is_empty q && Pqueue_reference.is_empty r))
     [ 0.5; 0.05; 7.3 ]
 
 (* ------------------------------ Engine ----------------------------- *)

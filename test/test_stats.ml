@@ -47,22 +47,6 @@ let test_summary_merge () =
   feq "merged mean" 2.5 (Summary.mean m);
   Alcotest.(check int) "inputs untouched" 2 (Summary.count a)
 
-let test_histogram_buckets () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:5 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 2.5; 9.9; -1.0; 10.0; 100.0 ];
-  Alcotest.(check int) "bucket 0" 2 (Histogram.bucket_count h 0);
-  Alcotest.(check int) "bucket 1" 1 (Histogram.bucket_count h 1);
-  Alcotest.(check int) "bucket 4" 1 (Histogram.bucket_count h 4);
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Histogram.overflow h);
-  Alcotest.(check int) "total" 7 (Histogram.count h)
-
-let test_histogram_bounds () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:5 in
-  let lo, hi = Histogram.bucket_bounds h 2 in
-  feq "bucket 2 lo" 4.0 lo;
-  feq "bucket 2 hi" 6.0 hi
-
 let test_table_render () =
   let t = Table.create ~title:"T" ~columns:[ "a"; "bb" ] in
   Table.add_row t [ "1"; "2" ];
@@ -142,8 +126,6 @@ let suite =
     ("summary quantiles", `Quick, test_summary_quantiles);
     ("summary add after sort", `Quick, test_summary_add_after_sort);
     ("summary merge", `Quick, test_summary_merge);
-    ("histogram buckets", `Quick, test_histogram_buckets);
-    ("histogram bounds", `Quick, test_histogram_bounds);
     ("table render", `Quick, test_table_render);
     ("table csv", `Quick, test_table_csv);
     ("table csv quoting", `Quick, test_table_csv_quoting);
